@@ -3,23 +3,23 @@
 #include "exec/DeviceSimBackend.h"
 
 #include "exec/Executor.h"
+#include "exec/OverlappedReplay.h"
 #include "exec/PartitionedGridStorage.h"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
 using namespace hextile;
 using namespace hextile::exec;
 
-DeviceSimBackend::DeviceSimBackend(gpu::DeviceTopology Topo, bool Threaded)
-    : Topo(std::move(Topo)), Threaded(Threaded) {
+DeviceSimBackend::DeviceSimBackend(gpu::DeviceTopology Topo)
+    : Topo(std::move(Topo)) {
   if (this->Topo.Devices.empty())
     this->Topo = defaultSimTopology(1);
 }
 
-DeviceSimBackend::DeviceSimBackend(unsigned NumDevices, bool Threaded)
-    : DeviceSimBackend(defaultSimTopology(NumDevices), Threaded) {}
+DeviceSimBackend::DeviceSimBackend(unsigned NumDevices)
+    : DeviceSimBackend(defaultSimTopology(NumDevices)) {}
 
 bool DeviceSimBackend::brokenBarrierSupported() {
 #ifdef HEXTILE_DEVICESIM_TEST_HOOKS
@@ -73,16 +73,15 @@ void DeviceSimBackend::finishReplay(ReplayStats *Stats) {
   Stats->PoolTasks = Pool ? Pool->tasksDispatched() - PoolTasksAtBegin : 0;
 
   Stats->PerDevice.resize(N);
+  Stats->RedundantInstances = 0;
   size_t TotalValues = 0;
   for (size_t D = 0; D < N; ++D) {
     Stats->PerDevice[D].Instances = DeviceInstances[D];
+    Stats->RedundantInstances += RedundantInstances[D];
     size_t Sent = SentDown[D] + SentUp[D];
     Stats->PerDevice[D].HaloValuesSent = Sent;
     TotalValues += Sent;
   }
-  Stats->RedundantInstances = 0;
-  for (size_t R : RedundantInstances)
-    Stats->RedundantInstances += R;
   Stats->HaloValuesExchanged = TotalValues;
   Stats->HaloBytesExchanged = TotalValues * sizeof(float);
 
@@ -109,115 +108,11 @@ void DeviceSimBackend::finishReplay(ReplayStats *Stats) {
   }
 }
 
-void DeviceSimBackend::runWavefront(const ir::StencilProgram &P,
-                                    FieldStorage &Storage,
-                                    const Wavefront &W) {
-  auto *Parts = dynamic_cast<PartitionedGridStorage *>(&Storage);
-  if (!Parts)
-    throw std::invalid_argument(
-        "DeviceSimBackend needs a PartitionedGridStorage (build one with "
-        "exec::makeStorage), got storage kind '" +
-        std::string(Storage.kind()) + "'");
+void DeviceSimBackend::runPhases(
+    PartitionedGridStorage &Parts, size_t Instances,
+    const std::function<void(unsigned Dev)> &Body) {
   // The storage's decomposition is authoritative: it may have fallen back
   // to fewer devices than the topology lists when the grid is narrow.
-  size_t N = Parts->numDevices();
-  Queues.resize(N);
-  DeviceInstances.resize(N, 0);
-  SentDown.resize(N, 0);
-  SentUp.resize(N, 0);
-  WallDown.resize(N, 0.0);
-  WallUp.resize(N, 0.0);
-  ComputeThread.resize(N);
-
-  // Placement: owner-computes along the partitioned (outermost spatial)
-  // dimension; Point = [that, s0, s1, ...].
-  for (size_t I = 0, E = W.size(); I < E; ++I)
-    Queues[Parts->ownerOf(W.point(I)[1])].push_back(I);
-
-  // Phase 1: each device retires its queue against its own slab view only.
-  auto Compute = [&](size_t Dev) {
-    size_t Active = ActiveDevices.fetch_add(1, std::memory_order_acq_rel) + 1;
-    size_t Seen = MaxActive.load(std::memory_order_relaxed);
-    while (Active > Seen &&
-           !MaxActive.compare_exchange_weak(Seen, Active,
-                                            std::memory_order_relaxed)) {
-    }
-    ComputeThread[Dev] = std::this_thread::get_id();
-    PartitionedGridStorage::DeviceView View(*Parts,
-                                            static_cast<unsigned>(Dev));
-    for (size_t I : Queues[Dev])
-      executeInstance(P, View, W.point(I));
-    DeviceInstances[Dev] += Queues[Dev].size();
-    Queues[Dev].clear();
-    ActiveDevices.fetch_sub(1, std::memory_order_acq_rel);
-  };
-
-  // Phase 2: each device pushes its dirty boundary values into the
-  // neighbors' rings, one timed copy per direction (= per chain link).
-  auto Push = [&](size_t Dev) {
-    using Clock = std::chrono::steady_clock;
-    unsigned D = static_cast<unsigned>(Dev);
-    Clock::time_point T0 = Clock::now();
-    size_t Down = Parts->pushDirtyDown(D);
-    Clock::time_point T1 = Clock::now();
-    size_t Up = Parts->pushDirtyUp(D);
-    Clock::time_point T2 = Clock::now();
-    SentDown[Dev] += Down;
-    SentUp[Dev] += Up;
-    WallDown[Dev] += std::chrono::duration<double>(T1 - T0).count();
-    WallUp[Dev] += std::chrono::duration<double>(T2 - T1).count();
-  };
-
-  // "At most MinTaskInstances runs inline" -- the exact boundary
-  // ThreadPoolBackend and ThreadPool::parallelFor document and implement,
-  // so one threshold value batches identically across backends.
-  bool UsePool = Threaded && N > 1 && W.size() > MinTaskInstances;
-  if (!UsePool) {
-    // Inline: sequential devices, trivially ordered two phases. This is
-    // both serial mode and the threaded mode's small-wavefront batch path
-    // (band-edge wavefronts are not worth two pool barriers).
-    for (size_t Dev = 0; Dev < N; ++Dev)
-      Compute(Dev);
-    for (size_t Dev = 0; Dev < N; ++Dev)
-      Push(Dev);
-  } else {
-    ensurePool(static_cast<unsigned>(N));
-    if (BrokenBarrier) {
-      // Deliberately broken barrier (test hook): the push phase is folded
-      // into the compute phase with no barrier separating them, so each
-      // device delivers the *previous* wavefront's dirty halos on its own
-      // schedule while neighbors are already computing. A device whose
-      // neighbor has not pushed yet computes against stale ring values,
-      // and a concurrent push writes the very rotating-buffer cells the
-      // neighbor's compute is reading -- the data race the second barrier
-      // of the correct protocol exists to prevent. (Compute-then-push in
-      // one phase would NOT race: within one wavefront pushes write the
-      // current time slot while computes read older slots.)
-      Pool->parallelFor(N, [&](size_t Dev) {
-        Push(Dev);
-        Compute(Dev);
-      });
-    } else {
-      Pool->parallelFor(N, Compute); // barrier: all writes visible
-      Pool->parallelFor(N, Push);    // barrier: rings coherent again
-    }
-  }
-
-  // After the barrier the caller alone merges the evidence of concurrency.
-  for (size_t Dev = 0; Dev < N; ++Dev)
-    SeenThreads.insert(ComputeThread[Dev]);
-  Exchanges += 1;
-}
-
-void DeviceSimBackend::runOverlappedBand(const ir::StencilProgram &P,
-                                         PartitionedGridStorage &Parts,
-                                         const core::OverlappedSchedule &Sched,
-                                         int64_t Band) {
-  if (!Parts.bandedReplayMode() || Parts.haloSteps() < Sched.bandSteps())
-    throw std::invalid_argument(
-        "overlapped band replay needs a banded-mode PartitionedGridStorage "
-        "with rings provisioned for the band height (exec::runOverlapped "
-        "builds one)");
   size_t N = Parts.numDevices();
   DeviceInstances.resize(N, 0);
   RedundantInstances.resize(N, 0);
@@ -227,28 +122,8 @@ void DeviceSimBackend::runOverlappedBand(const ir::StencilProgram &P,
   WallUp.resize(N, 0.0);
   ComputeThread.resize(N);
 
-  const std::vector<int64_t> &Sizes = P.spaceSizes();
-  unsigned Rank = P.spaceRank();
-  int64_t Ticks = Sched.bandStepsOf(Band, P.timeSteps()) * P.numStmts();
-  int64_t TickBase = Band * Sched.ticksPerBand();
-  int64_t Lo0 = P.loHalo(0);
-  int64_t Hi0 = Sizes[0] - P.hiHalo(0);
-  // The inner dimensions' update domain, flattened so the per-cell loop is
-  // allocation-free (one div/mod chain per instance).
-  std::vector<int64_t> InnerLo(Rank, 0), InnerExt(Rank, 1);
-  int64_t Inner = 1;
-  for (unsigned D = 1; D < Rank; ++D) {
-    InnerLo[D] = P.loHalo(D);
-    InnerExt[D] = std::max<int64_t>(0, Sizes[D] - P.hiHalo(D) - InnerLo[D]);
-    Inner *= InnerExt[D];
-  }
-
-  // Phase 1: each device runs the whole band -- its owned slab expanded by
-  // the schedule's per-tick margins -- with no intra-band barrier. Writes
-  // land only in the device's own slab (owned cells and its private rings,
-  // PartitionedGridStorage banded mode), and reads only resolve there too,
-  // so concurrent devices never touch shared memory: the band is race-free
-  // with zero synchronization, redundancy instead of barriers.
+  // Phase 1: each device runs the caller's body against its own slab view
+  // only, recording the evidence of concurrency on the way.
   auto Compute = [&](size_t Dev) {
     size_t Active = ActiveDevices.fetch_add(1, std::memory_order_acq_rel) + 1;
     size_t Seen = MaxActive.load(std::memory_order_relaxed);
@@ -257,35 +132,12 @@ void DeviceSimBackend::runOverlappedBand(const ir::StencilProgram &P,
                                             std::memory_order_relaxed)) {
     }
     ComputeThread[Dev] = std::this_thread::get_id();
-    PartitionedGridStorage::DeviceView View(Parts, static_cast<unsigned>(Dev));
-    const gpu::SlabRange &Owned = Parts.owned(static_cast<unsigned>(Dev));
-    std::vector<int64_t> Point(Rank + 1, 0);
-    size_t Done = 0, Redundant = 0;
-    for (int64_t V = 0; V < Ticks; ++V) {
-      Point[0] = TickBase + V;
-      int64_t CLo = std::max(Lo0, Owned.Lo - Sched.marginLo(V));
-      int64_t CHi = std::min(Hi0, Owned.Hi + Sched.marginHi(V));
-      for (int64_t S0 = CLo; S0 < CHi; ++S0) {
-        Point[1] = S0;
-        for (int64_t J = 0; J < Inner; ++J) {
-          int64_t Rem = J;
-          for (unsigned D = Rank; D-- > 1;) {
-            Point[D + 1] = InnerLo[D] + Rem % InnerExt[D];
-            Rem /= InnerExt[D];
-          }
-          executeInstance(P, View, Point);
-        }
-        Done += static_cast<size_t>(Inner);
-        if (S0 < Owned.Lo || S0 >= Owned.Hi)
-          Redundant += static_cast<size_t>(Inner);
-      }
-    }
-    DeviceInstances[Dev] += Done;
-    RedundantInstances[Dev] += Redundant;
+    Body(static_cast<unsigned>(Dev));
     ActiveDevices.fetch_sub(1, std::memory_order_acq_rel);
   };
 
-  // Phase 2: the band's single exchange (band-deep, deduplicated strips).
+  // Phase 2: each device pushes its dirty boundary values into the
+  // neighbors' rings, one timed copy per direction (= per chain link).
   auto Push = [&](size_t Dev) {
     using Clock = std::chrono::steady_clock;
     unsigned D = static_cast<unsigned>(Dev);
@@ -300,22 +152,101 @@ void DeviceSimBackend::runOverlappedBand(const ir::StencilProgram &P,
     WallUp[Dev] += std::chrono::duration<double>(T2 - T1).count();
   };
 
-  size_t BandInstances =
-      static_cast<size_t>(std::max<int64_t>(0, Hi0 - Lo0) * Inner) *
-      static_cast<size_t>(Ticks);
-  bool UsePool = Threaded && N > 1 && BandInstances > MinTaskInstances;
-  if (!UsePool) {
-    for (size_t Dev = 0; Dev < N; ++Dev)
-      Compute(Dev);
-    for (size_t Dev = 0; Dev < N; ++Dev)
-      Push(Dev);
-  } else {
+  // "At most MinTaskInstances runs inline" -- the exact boundary
+  // ThreadPoolBackend and ThreadPool::parallelFor document and implement,
+  // so one threshold value batches identically across backends. Inline,
+  // the devices run in order on the caller (small work is not worth two
+  // pool barriers); pooled, each phase is one parallelFor over the devices,
+  // whose return is the barrier.
+  bool Inline = N <= 1 || Instances <= MinTaskInstances;
+  if (!Inline)
     ensurePool(static_cast<unsigned>(N));
-    Pool->parallelFor(N, Compute); // barrier: every trapezoid retired
-    Pool->parallelFor(N, Push);    // barrier: rings coherent for next band
+  auto EachDevice = [&](const std::function<void(size_t)> &Fn) {
+    if (!Inline) {
+      Pool->parallelFor(N, Fn);
+      return;
+    }
+    for (size_t Dev = 0; Dev < N; ++Dev)
+      Fn(Dev);
+  };
+  if (BrokenBarrier) {
+    // Deliberately broken barrier (test hook): the push phase is folded
+    // into the compute phase with no barrier separating them, so each
+    // device delivers the *previous* round's dirty halos on its own
+    // schedule while neighbors are already computing. A device whose
+    // neighbor has not pushed yet computes against stale ring values (in
+    // order on the caller, device 0 always does), and a concurrent push
+    // writes the very rotating-buffer cells the neighbor's compute is
+    // reading -- the data race the second barrier of the correct protocol
+    // exists to prevent. (Compute-then-push in one phase would NOT race:
+    // within one wavefront pushes write the current time slot while
+    // computes read older slots.)
+    EachDevice([&](size_t Dev) {
+      Push(Dev);
+      Compute(Dev);
+    });
+  } else {
+    EachDevice(Compute); // barrier: all writes visible
+    EachDevice(Push);    // barrier: rings coherent again
   }
 
+  // After the barrier the caller alone merges the evidence of concurrency.
   for (size_t Dev = 0; Dev < N; ++Dev)
     SeenThreads.insert(ComputeThread[Dev]);
   Exchanges += 1;
+}
+
+void DeviceSimBackend::runWavefront(const ir::StencilProgram &P,
+                                    FieldStorage &Storage,
+                                    const Wavefront &W) {
+  auto *Parts = dynamic_cast<PartitionedGridStorage *>(&Storage);
+  if (!Parts)
+    throw std::invalid_argument(
+        "DeviceSimBackend needs a PartitionedGridStorage (build one with "
+        "exec::makeStorage), got storage kind '" +
+        std::string(Storage.kind()) + "'");
+  Queues.resize(Parts->numDevices());
+
+  // Placement: owner-computes along the partitioned (outermost spatial)
+  // dimension; Point = [that, s0, s1, ...].
+  for (size_t I = 0, E = W.size(); I < E; ++I)
+    Queues[Parts->ownerOf(W.point(I)[1])].push_back(I);
+
+  // Phase 1: each device retires its queue.
+  runPhases(*Parts, W.size(), [&](unsigned Dev) {
+    PartitionedGridStorage::DeviceView View(*Parts, Dev);
+    for (size_t I : Queues[Dev])
+      executeInstance(P, View, W.point(I));
+    DeviceInstances[Dev] += Queues[Dev].size();
+    Queues[Dev].clear();
+  });
+}
+
+void DeviceSimBackend::runOverlappedBand(const ir::StencilProgram &P,
+                                         PartitionedGridStorage &Parts,
+                                         const core::OverlappedSchedule &Sched,
+                                         int64_t Band) {
+  if (!Parts.bandedReplayMode() || Parts.haloSteps() < Sched.bandSteps())
+    throw std::invalid_argument(
+        "overlapped band replay needs a banded-mode PartitionedGridStorage "
+        "with rings provisioned for the band height (exec::runOverlapped "
+        "builds one)");
+  int64_t Ticks = Sched.bandStepsOf(Band, P.timeSteps()) * P.numStmts();
+  size_t BandInstances = static_cast<size_t>(P.pointsPerTimeStep() * Ticks);
+
+  // Phase 1: each device runs the whole band -- its owned slab expanded by
+  // the schedule's per-tick margins -- with no intra-band barrier. Writes
+  // land only in the device's own slab (owned cells and its private rings,
+  // PartitionedGridStorage banded mode), and reads only resolve there too,
+  // so concurrent devices never touch shared memory: the band is race-free
+  // with zero synchronization, redundancy instead of barriers. Phase 2 is
+  // the band's single exchange (band-deep, deduplicated strips).
+  runPhases(Parts, BandInstances, [&](unsigned Dev) {
+    PartitionedGridStorage::DeviceView View(Parts, Dev);
+    const gpu::SlabRange &Owned = Parts.owned(Dev);
+    TrapezoidCounts Done =
+        runTrapezoid(P, Sched, Band, Owned.Lo, Owned.Hi, View);
+    DeviceInstances[Dev] += Done.Instances;
+    RedundantInstances[Dev] += Done.Redundant;
+  });
 }

@@ -19,11 +19,11 @@
 ///      its dirty boundary values into the neighbors' rings, and the
 ///      backend accumulates the traffic (total, per device, per link).
 ///
-/// In the default *threaded* mode each simulated device is driven by its
-/// own exec::ThreadPool worker (the pool holds one participant per
-/// device), so devices genuinely advance concurrently between wavefront
-/// barriers -- the multi-GPU execution model the paper's Sec. 5 block-level
-/// parallelism claim implies. One wavefront is a two-phase barrier:
+/// Each simulated device is driven by its own exec::ThreadPool worker (the
+/// pool holds one participant per device), so devices genuinely advance
+/// concurrently between wavefront barriers -- the multi-GPU execution
+/// model the paper's Sec. 5 block-level parallelism claim implies. One
+/// wavefront is a two-phase barrier:
 ///
 ///     parallelFor(device: compute own queue)     -- phase 1
 ///         ... pool barrier (release/acquire) ...
@@ -47,27 +47,27 @@
 /// caller (sequential devices, no pool handoff), the same "at most N runs
 /// inline" boundary ThreadPoolBackend and ThreadPool::parallelFor use:
 /// replays dominated by tiny band-edge wavefronts would otherwise pay two
-/// barriers per wavefront for no overlap. Serial mode (Threaded = false)
-/// retires every wavefront that way -- the legacy deterministic replay,
-/// still pinned by tests.
+/// barriers per wavefront for no overlap. A floor above every wavefront
+/// (SIZE_MAX) replays every device sequentially on the caller.
 ///
 /// Beyond the per-wavefront protocol, runOverlappedBand executes one time
 /// band of an overlapped (trapezoidal) schedule as a *device-level*
-/// trapezoid: in phase 1 every device computes, tick by tick, its owned
-/// slab expanded by the schedule's shrinking margins -- redundantly
-/// recomputing neighbor cells into its own band-deep halo rings, with no
-/// intra-band barrier at all -- and phase 2 is a single halo exchange for
-/// the whole band. Exchange rounds drop from one per wavefront to one per
-/// band (the alpha term of the LinkSpec cost model), paid for with
-/// redundant instances (ReplayStats::RedundantInstances) and band-deep
-/// boundary strips.
+/// trapezoid through the same two-phase driver: in phase 1 every device
+/// computes, tick by tick, its owned slab expanded by the schedule's
+/// shrinking margins (exec::runTrapezoid) -- redundantly recomputing
+/// neighbor cells into its own band-deep halo rings, with no intra-band
+/// barrier at all -- and phase 2 is a single halo exchange for the whole
+/// band. Exchange rounds drop from one per wavefront to one per band (the
+/// alpha term of the LinkSpec cost model), paid for with redundant
+/// instances (ReplayStats::RedundantInstances) and band-deep boundary
+/// strips.
 ///
 /// finishReplay publishes compute/exchange counters into ReplayStats --
 /// including per-link traffic priced through the topology's LinkSpec cost
 /// model (the same closed form gpu::predictHaloExchangeCost uses, so
 /// prediction and measurement are exactly comparable) and the concurrency
-/// evidence (MaxConcurrentDevices, DistinctComputeThreads) the threaded
-/// tests assert on.
+/// evidence (MaxConcurrentDevices, DistinctComputeThreads) the
+/// concurrency tests assert on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,6 +79,7 @@
 #include "gpu/DeviceTopology.h"
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <set>
 #include <thread>
@@ -94,9 +95,9 @@ class PartitionedGridStorage;
 /// any other FieldStorage is rejected with std::invalid_argument.
 class DeviceSimBackend final : public ExecutionBackend {
 public:
-  explicit DeviceSimBackend(gpu::DeviceTopology Topo, bool Threaded = true);
+  explicit DeviceSimBackend(gpu::DeviceTopology Topo);
   /// Uniform chain of \p NumDevices GTX 470-class devices.
-  explicit DeviceSimBackend(unsigned NumDevices, bool Threaded = true);
+  explicit DeviceSimBackend(unsigned NumDevices);
 
   const char *name() const override { return "devicesim"; }
   unsigned concurrency() const override { return Topo.numDevices(); }
@@ -105,12 +106,8 @@ public:
     return &Topo;
   }
 
-  /// Whether wavefronts run devices concurrently (two-phase barrier) or
-  /// sequentially (legacy deterministic replay).
-  bool threaded() const { return Threaded; }
-
-  /// Batching floor: a wavefront with *at most* this many instances
-  /// retires inline on the caller even in threaded mode (no pool handoff),
+  /// Batching floor: a wavefront (or overlapped band) with *at most* this
+  /// many instances retires inline on the caller (no pool handoff),
   /// matching ThreadPoolBackend's documented boundary. 0 sends every
   /// multi-device wavefront through the pool.
   void setMinTaskInstances(size_t N) { MinTaskInstances = N; }
@@ -118,7 +115,8 @@ public:
 
   /// Test hook, compiled in only under HEXTILE_DEVICESIM_TEST_HOOKS (the
   /// test build): removes the barrier between the phases by folding the
-  /// halo push into the compute phase, so devices compute against halos
+  /// halo push into the compute phase, inline or pooled, for wavefronts
+  /// and overlapped bands alike, so devices compute against halos
   /// their neighbors may not have pushed yet -- stale reads the
   /// differential check must flag (and a genuine same-cell data race under
   /// concurrency), proving the suite *can* see a broken barrier. In
@@ -147,8 +145,16 @@ public:
 private:
   void ensurePool(unsigned NumDevices);
 
+  /// The two-phase protocol behind runWavefront and runOverlappedBand:
+  /// runs \p Body (phase 1) for every device of \p Parts, then every
+  /// device's timed halo push (phase 2), and books one exchange round.
+  /// Work of at most MinTaskInstances \p Instances runs inline on the
+  /// caller; more runs one pool participant per device, with a barrier
+  /// after each phase.
+  void runPhases(PartitionedGridStorage &Parts, size_t Instances,
+                 const std::function<void(unsigned Dev)> &Body);
+
   gpu::DeviceTopology Topo;
-  bool Threaded = true;
   bool BrokenBarrier = false;
   size_t MinTaskInstances = 128;
 

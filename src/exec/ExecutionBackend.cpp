@@ -76,7 +76,7 @@ gpu::DeviceTopology exec::defaultSimTopology(unsigned NumDevices) {
 
 std::unique_ptr<ExecutionBackend>
 exec::makeBackend(BackendKind K, int NumThreads, unsigned NumDevices,
-                  const gpu::DeviceTopology *Topology, bool DeviceSimThreaded,
+                  const gpu::DeviceTopology *Topology,
                   size_t MinTaskInstances) {
   switch (K) {
   case BackendKind::Serial:
@@ -84,11 +84,8 @@ exec::makeBackend(BackendKind K, int NumThreads, unsigned NumDevices,
   case BackendKind::ThreadPool:
     return std::make_unique<ThreadPoolBackend>(NumThreads, MinTaskInstances);
   case BackendKind::DeviceSim: {
-    auto B = Topology
-                 ? std::make_unique<DeviceSimBackend>(*Topology,
-                                                      DeviceSimThreaded)
-                 : std::make_unique<DeviceSimBackend>(NumDevices,
-                                                      DeviceSimThreaded);
+    auto B = Topology ? std::make_unique<DeviceSimBackend>(*Topology)
+                      : std::make_unique<DeviceSimBackend>(NumDevices);
     B->setMinTaskInstances(MinTaskInstances);
     return B;
   }

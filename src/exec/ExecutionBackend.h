@@ -127,15 +127,14 @@ enum class BackendKind { Serial, ThreadPool, DeviceSim };
 const char *backendKindName(BackendKind K);
 
 /// Instantiates \p K. \p NumThreads only affects ThreadPool (0 = hardware
-/// concurrency); \p NumDevices / \p Topology / \p DeviceSimThreaded only
-/// affect DeviceSim (an explicit topology wins, else a uniform chain of
-/// NumDevices GTX 470s; DeviceSimThreaded = false selects the legacy
-/// sequential-device replay). \p MinTaskInstances is the inline batching
-/// floor of the parallel backends (ThreadPool and threaded DeviceSim).
+/// concurrency); \p NumDevices / \p Topology only affect DeviceSim (an
+/// explicit topology wins, else a uniform chain of NumDevices GTX 470s).
+/// \p MinTaskInstances is the inline batching floor of the parallel
+/// backends (ThreadPool and DeviceSim).
 std::unique_ptr<ExecutionBackend>
 makeBackend(BackendKind K, int NumThreads = 0, unsigned NumDevices = 2,
             const gpu::DeviceTopology *Topology = nullptr,
-            bool DeviceSimThreaded = true, size_t MinTaskInstances = 128);
+            size_t MinTaskInstances = 128);
 
 } // namespace exec
 } // namespace hextile

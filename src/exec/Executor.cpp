@@ -53,28 +53,32 @@ std::unique_ptr<FieldStorage> exec::makeStorage(const ir::StencilProgram &P,
       Opts.ExchangeCadenceSteps);
 }
 
+ExecutionBackend &
+exec::resolveBackend(const ScheduleRunOptions &Opts,
+                     std::unique_ptr<ExecutionBackend> &Owned) {
+  if (Opts.BackendOverride)
+    return *Opts.BackendOverride;
+  Owned = makeBackend(Opts.Backend, Opts.NumThreads, Opts.NumDevices,
+                      Opts.Topology, Opts.MinTaskInstances);
+  return *Owned;
+}
+
 void exec::runSchedule(const ir::StencilProgram &P, FieldStorage &Storage,
                        const core::IterationDomain &Domain,
                        const ScheduleKeyIntoFn &Key,
                        const ScheduleRunOptions &Opts) {
   std::unique_ptr<ExecutionBackend> Owned;
-  ExecutionBackend *Backend = Opts.BackendOverride;
-  if (!Backend) {
-    Owned = makeBackend(Opts.Backend, Opts.NumThreads, Opts.NumDevices,
-                        Opts.Topology, Opts.DeviceSimThreaded,
-                        Opts.MinTaskInstances);
-    Backend = Owned.get();
-  }
+  ExecutionBackend &Backend = resolveBackend(Opts, Owned);
 
   WavefrontOptions WOpts;
   WOpts.ShuffleSeed = Opts.ShuffleSeed;
   WOpts.ParallelFrom = Opts.ParallelFrom;
-  Backend->beginReplay();
+  Backend.beginReplay();
   streamWavefronts(
       Domain, Key, WOpts,
-      [&](const Wavefront &W) { Backend->runWavefront(P, Storage, W); },
+      [&](const Wavefront &W) { Backend.runWavefront(P, Storage, W); },
       Opts.Stats);
-  Backend->finishReplay(Opts.Stats);
+  Backend.finishReplay(Opts.Stats);
 }
 
 void exec::runSchedule(const ir::StencilProgram &P, FieldStorage &Storage,

@@ -119,10 +119,6 @@ struct ScheduleRunOptions {
   unsigned NumDevices = 2;
   /// Non-owning explicit device topology for BackendKind::DeviceSim.
   const gpu::DeviceTopology *Topology = nullptr;
-  /// BackendKind::DeviceSim execution model: true runs each device on its
-  /// own pool worker between two-phase wavefront barriers, false retires
-  /// devices sequentially (the legacy deterministic replay).
-  bool DeviceSimThreaded = true;
   /// Batching floor of the parallel backends: wavefronts with at most this
   /// many instances run inline on the caller (no pool handoff) and no
   /// dispatched chunk is smaller. 1 parallelizes every wavefront --
@@ -153,6 +149,12 @@ std::unique_ptr<FieldStorage> makeStorage(const ir::StencilProgram &P,
                                           const ScheduleRunOptions &Opts,
                                           const Initializer &Init =
                                               defaultInit);
+
+/// The backend a replay under \p Opts runs on: Opts.BackendOverride when
+/// set, else a new makeBackend of Opts' backend fields, held by \p Owned.
+/// runSchedule and runOverlapped share this step.
+ExecutionBackend &resolveBackend(const ScheduleRunOptions &Opts,
+                                 std::unique_ptr<ExecutionBackend> &Owned);
 
 /// Replays every instance of \p Domain ordered by \p Key (allocation-free
 /// appending form; see Wavefront.h).

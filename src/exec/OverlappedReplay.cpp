@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 
@@ -84,32 +85,22 @@ uint64_t splitmix64(uint64_t &State) {
   return Z ^ (Z >> 31);
 }
 
-/// The flat-storage replay: private windows, two phases per band.
+/// The flat-storage replay: private windows, two phases per band, on the
+/// backend's pool when it has one (a ThreadPoolBackend), else serially.
 void runOverlappedTiled(const ir::StencilProgram &P,
                         const core::OverlappedSchedule &Sched,
-                        FieldStorage &Storage,
+                        FieldStorage &Storage, ExecutionBackend &Backend,
                         const ScheduleRunOptions &Opts) {
   const std::vector<int64_t> &Sizes = P.spaceSizes();
   unsigned Rank = P.spaceRank();
-  unsigned NumFields = P.fields().size();
   int64_t NumTiles = Sched.numTiles();
   int64_t WinW = Sched.tileWidth() + Sched.footLo() + Sched.footHi();
-  int64_t Lo0 = P.loHalo(0);
-  int64_t Hi0 = Sizes[0] - P.hiHalo(0);
   int64_t InnerAll = 1;
-  std::vector<int64_t> InnerUpLo(Rank, 0), InnerUpExt(Rank, 1);
-  int64_t InnerUp = 1;
-  for (unsigned D = 1; D < Rank; ++D) {
+  for (unsigned D = 1; D < Rank; ++D)
     InnerAll *= Sizes[D];
-    InnerUpLo[D] = P.loHalo(D);
-    InnerUpExt[D] =
-        std::max<int64_t>(0, Sizes[D] - P.hiHalo(D) - InnerUpLo[D]);
-    InnerUp *= InnerUpExt[D];
-  }
 
   std::vector<TileWindow> Windows(static_cast<size_t>(NumTiles));
-  std::vector<size_t> TileInstances(static_cast<size_t>(NumTiles), 0);
-  std::vector<size_t> TileRedundant(static_cast<size_t>(NumTiles), 0);
+  std::vector<TrapezoidCounts> TileDone(static_cast<size_t>(NumTiles));
 
   // Tile execution order: shuffled when seeded, to prove order freedom the
   // same way wavefront replays shuffle instances.
@@ -122,127 +113,84 @@ void runOverlappedTiled(const ir::StencilProgram &P,
   }
 
   int64_t NumBands = Sched.numBands(P.timeSteps());
-  int64_t NumStmts = P.numStmts();
 
-  // Phase 1 of one band for one tile: stage the footprint (slot-image
-  // copies: reading time T = s hits slot s for s < depth) and run the
+  // Copies dimension-0 columns [Lo, Hi) -- every slot of every field, full
+  // inner extents -- from Src to Dst: a tile's stage-in (slot-image copies:
+  // reading time T = s hits slot s for s < depth) and its write-back.
+  auto Copy = [&](int64_t Lo, int64_t Hi, const auto &Src, auto &Dst) {
+    std::vector<int64_t> C(Rank, 0);
+    std::span<const int64_t> CS(C.data(), Rank);
+    for (unsigned F = 0; F < P.fields().size(); ++F)
+      for (unsigned S = 0; S < P.bufferDepth(F); ++S)
+        for (int64_t C0 = Lo; C0 < Hi; ++C0) {
+          C[0] = C0;
+          for (int64_t J = 0; J < InnerAll; ++J) {
+            int64_t Rem = J;
+            for (unsigned D = Rank; D-- > 1;) {
+              C[D] = Rem % Sizes[D];
+              Rem /= Sizes[D];
+            }
+            Dst.write(F, S, CS, Src.read(F, S, CS));
+          }
+        }
+  };
+
+  // Phase 1 of one band for one tile: stage the footprint and run the
   // band's ticks entirely inside the window.
   auto LoadCompute = [&](int64_t Tile, int64_t Band) {
     TileWindow &Win = Windows[static_cast<size_t>(Tile)];
     Win.init(P, WinW);
     int64_t WinLo = Sched.tileLo(Tile) - Sched.footLo();
     Win.setBase(WinLo);
-    std::vector<int64_t> C(Rank, 0);
-    std::span<const int64_t> CS(C.data(), Rank);
-    int64_t LoadLo = std::max<int64_t>(0, WinLo);
-    int64_t LoadHi = std::min<int64_t>(Sizes[0], WinLo + WinW);
-    for (unsigned F = 0; F < NumFields; ++F)
-      for (unsigned S = 0; S < P.bufferDepth(F); ++S)
-        for (int64_t C0 = LoadLo; C0 < LoadHi; ++C0) {
-          C[0] = C0;
-          for (int64_t J = 0; J < InnerAll; ++J) {
-            int64_t Rem = J;
-            for (unsigned D = Rank; D-- > 1;) {
-              C[D] = Rem % Sizes[D];
-              Rem /= Sizes[D];
-            }
-            Win.write(F, S, CS, Storage.read(F, S, CS));
-          }
-        }
-
-    int64_t Ticks = Sched.bandStepsOf(Band, P.timeSteps()) * NumStmts;
-    int64_t TickBase = Band * Sched.ticksPerBand();
-    int64_t TileLo = Sched.tileLo(Tile), TileHi = Sched.tileHi(Tile);
-    std::vector<int64_t> Point(Rank + 1, 0);
-    size_t Done = 0, Redundant = 0;
-    for (int64_t V = 0; V < Ticks; ++V) {
-      Point[0] = TickBase + V;
-      int64_t CLo = std::max(Lo0, TileLo - Sched.marginLo(V));
-      int64_t CHi = std::min(Hi0, TileHi + Sched.marginHi(V));
-      for (int64_t S0 = CLo; S0 < CHi; ++S0) {
-        Point[1] = S0;
-        for (int64_t J = 0; J < InnerUp; ++J) {
-          int64_t Rem = J;
-          for (unsigned D = Rank; D-- > 1;) {
-            Point[D + 1] = InnerUpLo[D] + Rem % InnerUpExt[D];
-            Rem /= InnerUpExt[D];
-          }
-          executeInstanceOn(P, Win, Point);
-        }
-        Done += static_cast<size_t>(InnerUp);
-        if (S0 < TileLo || S0 >= TileHi)
-          Redundant += static_cast<size_t>(InnerUp);
-      }
-    }
-    TileInstances[static_cast<size_t>(Tile)] += Done;
-    TileRedundant[static_cast<size_t>(Tile)] += Redundant;
+    Copy(std::max<int64_t>(0, WinLo),
+         std::min<int64_t>(Sizes[0], WinLo + WinW), Storage, Win);
+    TrapezoidCounts Done = runTrapezoid(P, Sched, Band, Sched.tileLo(Tile),
+                                        Sched.tileHi(Tile), Win);
+    TileDone[static_cast<size_t>(Tile)].Instances += Done.Instances;
+    TileDone[static_cast<size_t>(Tile)].Redundant += Done.Redundant;
   };
 
   // Phase 2: write the core column back, every slot of every field (cells
   // a band never wrote copy their own staged value -- identity). Cores
   // are disjoint, so concurrent tiles never collide.
   auto WriteBack = [&](int64_t Tile) {
-    TileWindow &Win = Windows[static_cast<size_t>(Tile)];
-    std::vector<int64_t> C(Rank, 0);
-    std::span<const int64_t> CS(C.data(), Rank);
-    for (unsigned F = 0; F < NumFields; ++F)
-      for (unsigned S = 0; S < P.bufferDepth(F); ++S)
-        for (int64_t C0 = Sched.tileLo(Tile); C0 < Sched.tileHi(Tile); ++C0) {
-          C[0] = C0;
-          for (int64_t J = 0; J < InnerAll; ++J) {
-            int64_t Rem = J;
-            for (unsigned D = Rank; D-- > 1;) {
-              C[D] = Rem % Sizes[D];
-              Rem /= Sizes[D];
-            }
-            Storage.write(F, S, CS, Win.read(F, S, CS));
-          }
-        }
+    Copy(Sched.tileLo(Tile), Sched.tileHi(Tile),
+         Windows[static_cast<size_t>(Tile)], Storage);
   };
 
-  // Resolve the pool: reuse an overriding ThreadPoolBackend's, else build
-  // one for BackendKind::ThreadPool, else run serially.
-  ThreadPool *Pool = nullptr;
-  std::unique_ptr<ThreadPool> OwnedPool;
-  if (auto *TPB = dynamic_cast<ThreadPoolBackend *>(Opts.BackendOverride)) {
-    Pool = &TPB->pool();
-  } else if (!Opts.BackendOverride &&
-             Opts.Backend == BackendKind::ThreadPool) {
-    OwnedPool = std::make_unique<ThreadPool>(resolveNumThreads(Opts.NumThreads));
-    Pool = OwnedPool.get();
-  }
-  uint64_t PoolTasksAtBegin = Pool ? Pool->tasksDispatched() : 0;
+  auto *Pooled = dynamic_cast<ThreadPoolBackend *>(&Backend);
+  ThreadPool *Pool = Pooled ? &Pooled->pool() : nullptr;
+  size_t BandInstances =
+      static_cast<size_t>(P.pointsPerTimeStep() * Sched.ticksPerBand());
+  bool UsePool = Pool && BandInstances > Pooled->minTaskInstances();
 
-  size_t BandInstances = static_cast<size_t>(
-      std::max<int64_t>(0, Hi0 - Lo0) * InnerUp * Sched.ticksPerBand());
-  bool UsePool = Pool && BandInstances > Opts.MinTaskInstances;
-
-  for (int64_t Band = 0; Band < NumBands; ++Band) {
-    if (UsePool) {
-      Pool->parallelFor(static_cast<size_t>(NumTiles), [&](size_t I) {
-        LoadCompute(Order[I], Band);
-      });
-      Pool->parallelFor(static_cast<size_t>(NumTiles),
-                        [&](size_t I) { WriteBack(Order[I]); });
-    } else {
-      for (int64_t I = 0; I < NumTiles; ++I)
-        LoadCompute(Order[static_cast<size_t>(I)], Band);
-      for (int64_t I = 0; I < NumTiles; ++I)
-        WriteBack(Order[static_cast<size_t>(I)]);
+  // One phase over every tile, in execution order: on the pool, whose
+  // return is the barrier, or inline.
+  auto EachTile = [&](const std::function<void(int64_t)> &Fn) {
+    if (!UsePool) {
+      for (int64_t Tile : Order)
+        Fn(Tile);
+      return;
     }
+    Pool->parallelFor(static_cast<size_t>(NumTiles),
+                      [&](size_t I) { Fn(Order[I]); });
+  };
+  Backend.beginReplay();
+  for (int64_t Band = 0; Band < NumBands; ++Band) {
+    EachTile([&](int64_t Tile) { LoadCompute(Tile, Band); });
+    EachTile(WriteBack);
   }
 
+  Backend.finishReplay(Opts.Stats); // the pool's dispatched tasks
   if (ReplayStats *Stats = Opts.Stats) {
-    *Stats = ReplayStats{};
-    for (int64_t T = 0; T < NumTiles; ++T) {
-      Stats->Instances += TileInstances[static_cast<size_t>(T)];
-      Stats->RedundantInstances += TileRedundant[static_cast<size_t>(T)];
+    for (const TrapezoidCounts &Done : TileDone) {
+      Stats->Instances += Done.Instances;
+      Stats->RedundantInstances += Done.Redundant;
     }
     Stats->Bands = static_cast<size_t>(NumBands);
     Stats->Wavefronts = static_cast<size_t>(NumBands) * 2; // two phases
     Stats->PeakBandInstances = NumBands ? Stats->Instances / NumBands : 0;
     Stats->MaxWavefrontInstances = Stats->PeakBandInstances;
-    Stats->PoolTasks = Pool ? Pool->tasksDispatched() - PoolTasksAtBegin : 0;
   }
 }
 
@@ -251,42 +199,28 @@ void runOverlappedTiled(const ir::StencilProgram &P,
 void runOverlappedBanded(const ir::StencilProgram &P,
                          const core::OverlappedSchedule &Sched,
                          PartitionedGridStorage &Parts,
-                         const ScheduleRunOptions &Opts) {
-  DeviceSimBackend *Backend = nullptr;
-  std::unique_ptr<DeviceSimBackend> OwnedBackend;
-  if (Opts.BackendOverride) {
-    Backend = dynamic_cast<DeviceSimBackend *>(Opts.BackendOverride);
-    if (!Backend)
-      throw std::invalid_argument(
-          "overlapped replay over partitioned storage needs a "
-          "DeviceSimBackend override, got '" +
-          std::string(Opts.BackendOverride->name()) + "'");
-  } else {
-    if (Opts.Topology)
-      OwnedBackend = std::make_unique<DeviceSimBackend>(
-          *Opts.Topology, Opts.DeviceSimThreaded);
-    else
-      OwnedBackend = std::make_unique<DeviceSimBackend>(
-          Opts.NumDevices, Opts.DeviceSimThreaded);
-    OwnedBackend->setMinTaskInstances(Opts.MinTaskInstances);
-    Backend = OwnedBackend.get();
-  }
-
+                         DeviceSimBackend &Backend, ReplayStats *Stats) {
   Parts.setBandedReplayMode(true);
   int64_t NumBands = Sched.numBands(P.timeSteps());
-  if (Opts.Stats)
-    *Opts.Stats = ReplayStats{};
-  Backend->beginReplay();
+  Backend.beginReplay();
   for (int64_t Band = 0; Band < NumBands; ++Band)
-    Backend->runOverlappedBand(P, Parts, Sched, Band);
-  Backend->finishReplay(Opts.Stats);
+    Backend.runOverlappedBand(P, Parts, Sched, Band);
+  Backend.finishReplay(Stats);
 
-  if (ReplayStats *Stats = Opts.Stats) {
+  if (Stats) {
     Stats->Bands = static_cast<size_t>(NumBands);
     Stats->Wavefronts = static_cast<size_t>(NumBands);
     for (const DeviceReplayStats &D : Stats->PerDevice)
       Stats->Instances += D.Instances;
   }
+}
+
+/// Grid extents as in "24x24", for diagnostics.
+std::string extentsStr(const std::vector<int64_t> &Sizes) {
+  std::string S;
+  for (size_t D = 0; D < Sizes.size(); ++D)
+    S += (D ? "x" : "") + std::to_string(Sizes[D]);
+  return S;
 }
 
 } // namespace
@@ -309,11 +243,27 @@ void exec::runOverlapped(const ir::StencilProgram &P,
     throw std::invalid_argument("overlapped schedule was built for '" +
                                 Sched.program().name() + "', replaying '" +
                                 P.name() + "'");
+  // Tiles, margins and footprints are laid out over the schedule's grid.
+  if (Sched.program().spaceSizes() != P.spaceSizes())
+    throw std::invalid_argument(
+        "overlapped schedule was built for a " +
+        extentsStr(Sched.program().spaceSizes()) + " grid, replaying a " +
+        extentsStr(P.spaceSizes()) + " grid");
+  std::unique_ptr<ExecutionBackend> Owned;
+  ExecutionBackend &Backend = resolveBackend(Opts, Owned);
+  if (Opts.Stats)
+    *Opts.Stats = ReplayStats{};
   if (auto *Parts = dynamic_cast<PartitionedGridStorage *>(&Storage)) {
-    runOverlappedBanded(P, Sched, *Parts, Opts);
+    auto *Devices = dynamic_cast<DeviceSimBackend *>(&Backend);
+    if (!Devices)
+      throw std::invalid_argument(
+          "overlapped replay over partitioned storage needs a "
+          "DeviceSimBackend, got '" +
+          std::string(Backend.name()) + "'");
+    runOverlappedBanded(P, Sched, *Parts, *Devices, Opts.Stats);
     return;
   }
-  runOverlappedTiled(P, Sched, Storage, Opts);
+  runOverlappedTiled(P, Sched, Storage, Backend, Opts);
 }
 
 std::string

@@ -221,19 +221,3 @@ size_t PartitionedGridStorage::pushDirtyUp(unsigned Dev) {
   S.DirtyUp.clear();
   return Sent;
 }
-
-PartitionedGridStorage::ExchangeCounters
-PartitionedGridStorage::exchangeHalos(std::span<size_t> PerDeviceValuesSent) {
-  assert((PerDeviceValuesSent.empty() ||
-          PerDeviceValuesSent.size() == numDevices()) &&
-         "per-device counter span must cover every device");
-  ExchangeCounters C;
-  for (unsigned Dev = 0; Dev < numDevices(); ++Dev) {
-    size_t Sent = pushDirtyDown(Dev) + pushDirtyUp(Dev);
-    C.Values += Sent;
-    if (!PerDeviceValuesSent.empty())
-      PerDeviceValuesSent[Dev] += Sent;
-  }
-  C.Bytes = C.Values * sizeof(float);
-  return C;
-}

@@ -14,14 +14,15 @@
 /// the owned slab or the rings, writes land in owned cells only.
 ///
 /// Inter-device traffic is explicit. Writes into the strip of owned cells
-/// that a neighbor replicates are recorded as *dirty*; exchangeHalos()
-/// copies exactly those values into the neighbors' rings and counts them --
-/// the measured halo traffic the analytic model (gpu::MemoryModel's
-/// predictHaloExchangeValues) is cross-checked against. The DeviceSim
-/// backend calls it at every wavefront barrier, the cadence for which the
-/// one-step halo ring is exactly sufficient: within a wavefront no
-/// instance reads another's write (they are mutually independent), and
-/// everything older was exchanged at an earlier barrier.
+/// that a neighbor replicates are recorded as *dirty*; each device's
+/// pushDirtyDown/pushDirtyUp copies exactly those values into the
+/// neighbors' rings and counts them -- the measured halo traffic the
+/// analytic model (gpu::MemoryModel's predictHaloExchangeValues) is
+/// cross-checked against. The DeviceSim backend runs every device's push
+/// at every wavefront barrier, the cadence for which the one-step halo
+/// ring is exactly sufficient: within a wavefront no instance reads
+/// another's write (they are mutually independent), and everything older
+/// was exchanged at an earlier barrier.
 ///
 /// The plain FieldStorage read/write interface stays fully coherent (a
 /// write is propagated to every replica immediately, without touching the
@@ -108,7 +109,7 @@ public:
                std::span<const int64_t> Coords) const;
   /// Write as \p Dev: \p Coords must be owned by it. Writes into a strip a
   /// neighbor replicates are deferred traffic -- recorded dirty, copied
-  /// out by the next exchangeHalos().
+  /// out by the next pushDirtyDown/pushDirtyUp.
   void writeOn(unsigned Dev, unsigned Field, int64_t T,
                std::span<const int64_t> Coords, float V);
 
@@ -137,20 +138,8 @@ public:
     unsigned Dev;
   };
 
-  /// Counters of one exchange round.
-  struct ExchangeCounters {
-    size_t Values = 0; ///< Boundary cells copied to a neighbor ring.
-    size_t Bytes = 0;  ///< Values * sizeof(float).
-  };
-
-  /// Copies every dirty boundary value into the neighbors' halo rings and
-  /// clears the dirty lists. \p PerDeviceValuesSent, when non-empty, must
-  /// have numDevices() entries and is *incremented* by each device's sent
-  /// count (owner attribution).
-  ExchangeCounters exchangeHalos(std::span<size_t> PerDeviceValuesSent = {});
-
-  /// One device's half of an exchange round, split per direction so a
-  /// threaded backend can run all devices' pushes concurrently and time
+  /// One device's half of an exchange round, split per direction so the
+  /// DeviceSim backend can run all devices' pushes concurrently and time
   /// each link separately. pushDirtyDown(Dev) copies Dev's dirty
   /// lower-boundary values into neighbor Dev-1's upper ring (chain link
   /// Dev-1); pushDirtyUp(Dev) copies the upper-boundary values into

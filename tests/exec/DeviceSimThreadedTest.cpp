@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 #include <thread>
 
@@ -78,9 +79,8 @@ ReplayStats replayThreaded(const ir::StencilProgram &P,
   T.W0 = 4;
   T.InnerWidths = {5};
 
-  DeviceSimBackend Backend(Topo, /*Threaded=*/true);
+  DeviceSimBackend Backend(Topo);
   Backend.setMinTaskInstances(1);
-  EXPECT_TRUE(Backend.threaded());
 
   ScheduleRunOptions Opts;
   Opts.BackendOverride = &Backend;
@@ -175,52 +175,10 @@ TEST(DeviceSimThreadedTest, DevicesGenuinelyRunConcurrently) {
       << ", DistinctComputeThreads=" << Stats.DistinctComputeThreads << ")";
 }
 
-/// Serial mode stays what it always was: sequential devices, one thread,
-/// and a grid bit-identical to the threaded replay's (determinism of the
-/// two-phase protocol -- threading changes timing, never values).
-TEST(DeviceSimThreadedTest, SerialModeMatchesThreadedBitExact) {
-  ir::StencilProgram P = ir::makeHeat2D(32, 5);
-  harness::OracleTiling T;
-  T.H = 2;
-  T.W0 = 4;
-  T.InnerWidths = {5};
-  harness::OracleSchedule S =
-      harness::makeOracleSchedule(P, harness::ScheduleKind::Hybrid, T);
-  ASSERT_NE(S.Key, nullptr);
-  core::IterationDomain Domain = core::IterationDomain::forProgram(P);
-
-  auto replay = [&](bool Threaded, ReplayStats &Stats) {
-    DeviceSimBackend Backend(defaultSimTopology(3), Threaded);
-    Backend.setMinTaskInstances(1);
-    ScheduleRunOptions Opts;
-    Opts.BackendOverride = &Backend;
-    Opts.ParallelFrom = S.ParallelFrom;
-    Opts.Stats = &Stats;
-    std::unique_ptr<FieldStorage> Storage = makeStorage(P, Opts);
-    runSchedule(P, *Storage, Domain, S.Key, Opts);
-    return Storage;
-  };
-
-  ReplayStats SerialStats, ThreadedStats;
-  std::unique_ptr<FieldStorage> Serial = replay(false, SerialStats);
-  std::unique_ptr<FieldStorage> Threaded = replay(true, ThreadedStats);
-
-  EXPECT_EQ(compareStoragesAtStep(*Serial, *Threaded, P.timeSteps() - 1),
-            "");
-  EXPECT_EQ(SerialStats.MaxConcurrentDevices, 1u);
-  EXPECT_EQ(SerialStats.DistinctComputeThreads, 1u);
-  // Traffic accounting is mode-independent.
-  EXPECT_EQ(SerialStats.HaloValuesExchanged,
-            ThreadedStats.HaloValuesExchanged);
-  ASSERT_EQ(SerialStats.PerLink.size(), ThreadedStats.PerLink.size());
-  for (size_t E = 0; E < SerialStats.PerLink.size(); ++E)
-    EXPECT_EQ(SerialStats.PerLink[E].Values,
-              ThreadedStats.PerLink[E].Values);
-}
-
 /// Below the batching floor nothing is handed to the pool (the pooled-
 /// classical regression fix, on the DeviceSim side): a floor above every
-/// wavefront keeps PoolTasks at zero while the replay stays bit-exact.
+/// wavefront keeps PoolTasks at zero and every device on the caller's
+/// thread, while the replay stays bit-exact with unchanged traffic.
 TEST(DeviceSimThreadedTest, BatchingFloorKeepsSmallWavefrontsInline) {
   ir::StencilProgram P = ir::makeJacobi2D(32, 4);
   harness::OracleTiling T;
@@ -233,7 +191,7 @@ TEST(DeviceSimThreadedTest, BatchingFloorKeepsSmallWavefrontsInline) {
   core::IterationDomain Domain = core::IterationDomain::forProgram(P);
 
   auto replay = [&](size_t Floor, ReplayStats &Stats) {
-    DeviceSimBackend Backend(defaultSimTopology(2), /*Threaded=*/true);
+    DeviceSimBackend Backend(defaultSimTopology(2));
     Backend.setMinTaskInstances(Floor);
     ScheduleRunOptions Opts;
     Opts.BackendOverride = &Backend;
@@ -251,6 +209,7 @@ TEST(DeviceSimThreadedTest, BatchingFloorKeepsSmallWavefrontsInline) {
   replay(1u << 20, Inline);
   EXPECT_EQ(Inline.PoolTasks, 0u);
   EXPECT_EQ(Inline.MaxConcurrentDevices, 1u);
+  EXPECT_EQ(Inline.DistinctComputeThreads, 1u);
   replay(1, Eager);
   EXPECT_GT(Eager.PoolTasks, 0u);
   // Same traffic either way.
@@ -266,7 +225,10 @@ TEST(DeviceSimThreadedTest, BatchingFloorKeepsSmallWavefrontsInline) {
 /// resulting stale reads; this is the proof that the bit-exact suite
 /// above *can* see a broken barrier. The staleness shows up under any
 /// interleaving (even fully serialized task order), so no minimum core
-/// count is needed. Skipped under TSan (the same-cell access is an
+/// count is needed. The hook lives in the two-phase driver wavefronts and
+/// overlapped bands share, so it must break bands too: a band's
+/// device-level trapezoid then reads band-entry halos its neighbor has
+/// not delivered. Skipped under TSan (the same-cell access is an
 /// intentional data race) and in release builds (the hook is compiled
 /// out).
 TEST(DeviceSimThreadedTest, BrokenBarrierIsCaughtByDifferentialCheck) {
@@ -292,7 +254,7 @@ TEST(DeviceSimThreadedTest, BrokenBarrierIsCaughtByDifferentialCheck) {
 
   bool Caught = false;
   for (uint64_t Seed : {0x1111ull, 0x2222ull, 0x3333ull, 0x4444ull}) {
-    DeviceSimBackend Backend(Topo, /*Threaded=*/true);
+    DeviceSimBackend Backend(Topo);
     Backend.setMinTaskInstances(1);
     Backend.setBrokenBarrierForTesting(true);
     ScheduleRunOptions Opts;
@@ -304,4 +266,18 @@ TEST(DeviceSimThreadedTest, BrokenBarrierIsCaughtByDifferentialCheck) {
   }
   EXPECT_TRUE(Caught) << "single-phase replay never diverged -- the "
                          "threaded differential suite has no teeth";
+
+  // A band has far fewer barriers than a replay has wavefronts, and pooled
+  // devices can win every push race on a loaded host; in order on the
+  // caller (a floor above every band) device 0 computes each band before
+  // device 1 delivers the previous band's halos, every time.
+  core::OverlappedSchedule Bands(P, /*BandSteps=*/T.H + 1, T.W0);
+  DeviceSimBackend Backend(Topo);
+  Backend.setMinTaskInstances(SIZE_MAX);
+  Backend.setBrokenBarrierForTesting(true);
+  ScheduleRunOptions Opts;
+  Opts.BackendOverride = &Backend;
+  EXPECT_NE(checkOverlappedEquivalence(P, Bands, Opts), "")
+      << "single-phase overlapped bands never diverged -- the broken "
+         "barrier misses the band driver";
 }

@@ -82,17 +82,13 @@ TEST(OverlappedReplayTest, RedundancyAccountsForEveryExtraInstance) {
 }
 
 TEST(OverlappedReplayTest, DeviceSimBandedBitExactAcrossGallery) {
-  for (bool Threaded : {false, true}) {
-    ScheduleRunOptions Opts;
-    Opts.Backend = BackendKind::DeviceSim;
-    Opts.NumDevices = 3;
-    Opts.DeviceSimThreaded = Threaded;
-    Opts.MinTaskInstances = 1;
-    for (const ir::StencilProgram &P : smallGallery()) {
-      core::OverlappedSchedule S(P, /*BandSteps=*/2, /*TileWidth=*/6);
-      EXPECT_EQ(checkOverlappedEquivalence(P, S, Opts), "")
-          << P.name() << (Threaded ? " threaded" : " serial");
-    }
+  ScheduleRunOptions Opts;
+  Opts.Backend = BackendKind::DeviceSim;
+  Opts.NumDevices = 3;
+  Opts.MinTaskInstances = 1;
+  for (const ir::StencilProgram &P : smallGallery()) {
+    core::OverlappedSchedule S(P, /*BandSteps=*/2, /*TileWidth=*/6);
+    EXPECT_EQ(checkOverlappedEquivalence(P, S, Opts), "") << P.name();
   }
 }
 
@@ -183,4 +179,21 @@ TEST(OverlappedReplayTest, RejectsForeignProgram) {
   core::OverlappedSchedule S(A, 2, 16);
   GridStorage Storage(B);
   EXPECT_THROW(runOverlapped(B, S, Storage, {}), std::invalid_argument);
+
+  // Same program on another grid: the tiles, margins and footprints were
+  // laid out for the smaller one, so the replay would silently diverge.
+  // The error names both extents.
+  ir::StencilProgram Small = ir::makeJacobi2D(24, 5);
+  ir::StencilProgram Large = ir::makeJacobi2D(48, 5);
+  core::OverlappedSchedule SmallSched(Small, /*BandSteps=*/2,
+                                      /*TileWidth=*/6);
+  GridStorage LargeStorage(Large);
+  try {
+    runOverlapped(Large, SmallSched, LargeStorage, {});
+    FAIL() << "a schedule for a 24x24 grid replayed a 48x48 grid";
+  } catch (const std::invalid_argument &E) {
+    std::string Msg = E.what();
+    EXPECT_NE(Msg.find("24x24"), std::string::npos) << Msg;
+    EXPECT_NE(Msg.find("48x48"), std::string::npos) << Msg;
+  }
 }

@@ -189,7 +189,7 @@ TEST(HaloExchangeCostTest, PredictionEqualsMeasuredReplayCostExactly) {
   harness::OracleSchedule S = harness::makeOracleSchedule(
       P, harness::ScheduleKind::Classical, harness::OracleTiling{});
   ASSERT_NE(S.Key, nullptr);
-  exec::DeviceSimBackend Backend(Topo, /*Threaded=*/true);
+  exec::DeviceSimBackend Backend(Topo);
   Backend.setMinTaskInstances(1);
   exec::ScheduleRunOptions Opts;
   Opts.BackendOverride = &Backend;

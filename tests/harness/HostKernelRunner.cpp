@@ -113,6 +113,12 @@ private:
   std::string OldValue;
 };
 
+/// Names an emitted unit in diagnostics: flavor and program.
+std::string unitLabel(const ir::StencilProgram &P, codegen::EmitSchedule S) {
+  return "[emitted " + std::string(codegen::emitScheduleName(S)) +
+         "] program=" + P.name();
+}
+
 } // namespace
 
 std::string harness::runEntryDifferential(const ir::StencilProgram &P,
@@ -140,38 +146,17 @@ EmittedDiff harness::runEmittedDifferential(const ir::StencilProgram &P,
                                             const exec::Initializer &Init,
                                             const std::string &Context) {
   EmittedDiff Result;
-  if (!JitUnit::available()) {
-    Result.Skipped = true;
+  EmittedUnit Unit;
+  std::string Err = Unit.build(P, C, S);
+  Result.Skipped = Unit.skipped();
+  if (Result.Skipped)
+    return Result;
+  if (!Err.empty()) {
+    Result.Message = Context.empty() ? Err : Context + ": " + Err;
     return Result;
   }
-
-  std::string Prefix = "[emitted " +
-                       std::string(codegen::emitScheduleName(S)) +
-                       "] program=" + P.name() +
-                       (Context.empty() ? "" : " " + Context);
-
-  JitUnit Unit;
-  if (std::string Err = Unit.build(codegen::emitHost(C, S)); !Err.empty()) {
-    Result.Message = Prefix + ": " + Err;
-    return Result;
-  }
-  using EntryFn = void (*)(float **);
-  EntryFn Entry = reinterpret_cast<EntryFn>(
-      Unit.symbol(codegen::hostEntryName(P)));
-  if (!Entry) {
-    Unit.keepArtifacts();
-    Result.Message = Prefix + ": entry point " + codegen::hostEntryName(P) +
-                     " missing from the emitted unit (artifacts kept in " +
-                     Unit.workDir() + ")";
-    return Result;
-  }
-
-  std::string Diff = runEntryDifferential(P, Entry, Init, "");
-  if (!Diff.empty()) {
-    Unit.keepArtifacts();
-    Result.Message = Prefix + " " + Diff +
-                     " (emitted sources kept in " + Unit.workDir() + ")";
-  }
+  Result.Message = Unit.runDifferential(
+      Init, unitLabel(P, S) + (Context.empty() ? "" : " " + Context));
   return Result;
 }
 
@@ -184,13 +169,12 @@ std::string harness::EmittedUnit::build(const ir::StencilProgram &P,
     return "no system C++ compiler";
   }
   if (std::string Err = Unit.build(codegen::emitHost(C, S)); !Err.empty())
-    return "[emitted " + std::string(codegen::emitScheduleName(S)) +
-           "] program=" + P.name() + ": " + Err;
+    return unitLabel(P, S) + ": " + Err;
   Entry = reinterpret_cast<void (*)(float **)>(
       Unit.symbol(codegen::hostEntryName(P)));
   if (!Entry) {
     Unit.keepArtifacts();
-    return "entry point " + codegen::hostEntryName(P) +
+    return unitLabel(P, S) + ": entry point " + codegen::hostEntryName(P) +
            " missing from the emitted unit (artifacts kept in " +
            Unit.workDir() + ")";
   }

@@ -18,7 +18,8 @@
 /// as the compile backend of service::CompileService -- and is re-exported
 /// here under its historical harness name. This header adds the
 /// differential drivers on top: runEmittedDifferential (emit + build +
-/// run + compare in one call) and runEntryDifferential (compare an
+/// run + compare in one call: EmittedUnit::build, then one
+/// EmittedUnit::runDifferential) and runEntryDifferential (compare an
 /// already-loaded entry point, e.g. an artifact served by the compile
 /// service, against the reference executor).
 ///

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 using namespace hextile;
@@ -357,85 +358,50 @@ std::string harness::runDifferential(const ir::StencilProgram &P,
   // DeviceSim backend keeps one device chain.
   std::unique_ptr<exec::ExecutionBackend> Backend =
       exec::makeBackend(Opts.Backend, Opts.NumThreads, Opts.NumDevices,
-                        /*Topology=*/nullptr, Opts.DeviceSimThreaded,
-                        Opts.MinTaskInstances);
-  if (K == ScheduleKind::Overlapped) {
-    // Fifth family: no schedule key (see makeScheduleWithCones); replay
-    // through the dedicated overlapped driver. Bands of H+1 steps mirror
-    // the hexagonal time reach; the tile width is the legalized W0.
-    core::HexTileParams Prm =
-        legalizedHexParams(T, Cones[0].Delta0, Cones[0].Delta1);
-    core::OverlappedSchedule Sched(P, std::max<int64_t>(T.H, 1) + 1,
-                                   Prm.W0);
-    for (int Shuffle = 0; Shuffle < std::max(Opts.NumShuffles, 1);
-         ++Shuffle) {
-      uint64_t RunSeed = Shuffle == 0
-                             ? 0
-                             : mix64(Opts.Seed +
-                                     static_cast<uint64_t>(Shuffle));
-      exec::ScheduleRunOptions RunOpts;
-      RunOpts.ShuffleSeed = RunSeed;
-      RunOpts.Backend = Opts.Backend;
-      RunOpts.NumThreads = Opts.NumThreads;
-      RunOpts.NumDevices = Opts.NumDevices;
-      RunOpts.DeviceSimThreaded = Opts.DeviceSimThreaded;
-      RunOpts.MinTaskInstances = Opts.MinTaskInstances;
-      RunOpts.BackendOverride = Backend.get();
-      std::unique_ptr<exec::FieldStorage> Got =
-          exec::makeOverlappedStorage(P, Sched, RunOpts, Init);
-      exec::runOverlapped(P, Sched, *Got, RunOpts);
-      std::string Diff = exec::compareStoragesAtStep(Ref, *Got, LastStep);
-      if (!Diff.empty()) {
-        std::ostringstream OS;
-        OS << "[" << scheduleKindName(K) << "] program=" << P.name()
-           << " backend=" << Backend->name();
-        if (Opts.Backend == exec::BackendKind::DeviceSim)
-          OS << " devices=" << Opts.NumDevices
-             << (Opts.DeviceSimThreaded ? " threaded" : " sequential");
-        OS << " schedule{" << Sched.str() << "} seed=0x" << std::hex
-           << Opts.Seed << std::dec << " shuffle=" << Shuffle
-           << " diverges from the row-major reference: " << Diff << "\n";
-        return OS.str();
-      }
-    }
-    if (Opts.RunEmitted)
-      return runEmittedMechanism(P, K, T, Opts, Cones, Init);
-    return "";
-  }
+                        /*Topology=*/nullptr, Opts.MinTaskInstances);
+  // The fifth family has no schedule key (see makeScheduleWithCones): its
+  // one schedule replays through exec::runOverlapped under every shuffle.
+  // Bands of H+1 steps mirror the hexagonal time reach; the tile width is
+  // the legalized W0.
+  std::optional<core::OverlappedSchedule> Over;
+  if (K == ScheduleKind::Overlapped)
+    Over.emplace(P, std::max<int64_t>(T.H, 1) + 1,
+                 legalizedHexParams(T, Cones[0].Delta0, Cones[0].Delta1).W0);
   for (int Shuffle = 0; Shuffle < std::max(Opts.NumShuffles, 1); ++Shuffle) {
     // Shuffle 0 replays blocks in natural order with stable thread order;
     // later shuffles permute the blocks and shuffle equal-key threads.
     uint64_t RunSeed =
         Shuffle == 0 ? 0 : mix64(Opts.Seed + static_cast<uint64_t>(Shuffle));
-    OracleSchedule S = makeScheduleWithCones(P, K, T, Cones, RunSeed);
-    if (!S.Key)
-      return ""; // Kind legally inapplicable; counted as agreement.
     exec::ScheduleRunOptions RunOpts;
     RunOpts.ShuffleSeed = RunSeed;
-    // Parallel backends always honor the schedule's parallel claim, so the
-    // pool dispatches wavefronts concurrently even on the stable shuffle-0
-    // replay; the serial backend keeps the seed behavior (shuffle 0 replays
-    // the fully sequential key order).
-    bool Serial = Opts.Backend == exec::BackendKind::Serial;
-    RunOpts.ParallelFrom = (Serial && RunSeed == 0) ? -1 : S.ParallelFrom;
-    RunOpts.Backend = Opts.Backend;
-    RunOpts.NumDevices = Opts.NumDevices;
     RunOpts.BackendOverride = Backend.get();
-    // makeStorage partitions the grid to match a DeviceSim override.
-    std::unique_ptr<exec::FieldStorage> Got =
-        exec::makeStorage(P, RunOpts, Init);
-    exec::runSchedule(P, *Got, Domain, S.Key, RunOpts);
+    std::unique_ptr<exec::FieldStorage> Got;
+    if (Over) {
+      Got = exec::makeOverlappedStorage(P, *Over, RunOpts, Init);
+      exec::runOverlapped(P, *Over, *Got, RunOpts);
+    } else {
+      OracleSchedule S = makeScheduleWithCones(P, K, T, Cones, RunSeed);
+      if (!S.Key)
+        return ""; // Kind legally inapplicable; counted as agreement.
+      // Parallel backends always honor the schedule's parallel claim, so
+      // the pool dispatches wavefronts concurrently even on the stable
+      // shuffle-0 replay; the serial backend keeps the seed behavior
+      // (shuffle 0 replays the fully sequential key order).
+      bool Serial = Opts.Backend == exec::BackendKind::Serial;
+      RunOpts.ParallelFrom = (Serial && RunSeed == 0) ? -1 : S.ParallelFrom;
+      // makeStorage partitions the grid to match a DeviceSim override.
+      Got = exec::makeStorage(P, RunOpts, Init);
+      exec::runSchedule(P, *Got, Domain, S.Key, RunOpts);
+    }
     std::string Diff = exec::compareStoragesAtStep(Ref, *Got, LastStep);
     if (!Diff.empty()) {
       std::ostringstream OS;
       OS << "[" << scheduleKindName(K) << "] program=" << P.name()
          << " backend=" << Backend->name();
       if (Opts.Backend == exec::BackendKind::DeviceSim)
-        OS << " devices=" << Opts.NumDevices
-           << (Opts.DeviceSimThreaded ? " threaded" : " sequential");
-      OS << " tiling{" << T.str()
-         << "} seed=0x" << std::hex << Opts.Seed << std::dec
-         << " shuffle=" << Shuffle
+        OS << " devices=" << Opts.NumDevices;
+      OS << " tiling{" << T.str() << "} seed=0x" << std::hex << Opts.Seed
+         << std::dec << " shuffle=" << Shuffle
          << " diverges from the row-major reference: " << Diff << "\n";
       return OS.str();
     }

@@ -93,11 +93,6 @@ struct OracleOptions {
   int NumThreads = 0;
   /// Simulated device count for BackendKind::DeviceSim.
   unsigned NumDevices = 2;
-  /// BackendKind::DeviceSim execution model: true (default) drives every
-  /// device from its own pool worker between two-phase wavefront barriers,
-  /// false replays devices sequentially (the legacy deterministic mode,
-  /// still pinned by one sweep column).
-  bool DeviceSimThreaded = true;
   /// Batching floor forwarded to the parallel backends. The oracle default
   /// is 1 -- parallelize *every* wavefront -- because its grids are small
   /// and a production-sized floor would quietly turn the concurrency

@@ -78,19 +78,15 @@ OracleTiling randomizedTiling(std::mt19937_64 &Rng, unsigned Rank) {
 }
 
 /// One backend configuration of the sweep: the kind plus the simulated
-/// device count and execution model (both meaningful for DeviceSim only).
+/// device count (meaningful for DeviceSim only).
 struct BackendSpec {
   exec::BackendKind Kind;
   unsigned NumDevices;
-  bool Threaded = false;
 
   std::string str() const {
     std::string S = exec::backendKindName(Kind);
-    if (Kind == exec::BackendKind::DeviceSim) {
-      if (Threaded)
-        S = "threaded_" + S;
+    if (Kind == exec::BackendKind::DeviceSim)
       S += std::to_string(NumDevices);
-    }
     return S;
   }
 };
@@ -127,7 +123,6 @@ TEST_P(StencilOracleSweep, SchedulesMatchNaiveExecutor) {
     Opts.Backend = Backend.Kind;
     Opts.NumThreads = 4;
     Opts.NumDevices = Backend.NumDevices;
-    Opts.DeviceSimThreaded = Backend.Threaded;
     EXPECT_EQ(runDifferentialAllKinds(P, T, Opts), "")
         << "tile point " << Point << ", tiling{" << T.str() << "}, seed=0x"
         << std::hex << Opts.Seed;
@@ -141,17 +136,15 @@ INSTANTIATE_TEST_SUITE_P(
                           "gradient2d", "fdtd2d", "laplacian3d", "heat3d",
                           "gradient3d", "skewed1d", "wave2d", "varheat2d",
                           "heat2d4"),
-        // DeviceSim appears both ways: one sequential column pins the
-        // legacy deterministic replay, the threaded columns race the
-        // two-phase barrier at 1/2/4 devices (bit-exactness is the race
-        // detector; under TSan it is also a happens-before proof).
+        // The DeviceSim columns race the two-phase barrier at 1/2/4
+        // devices (bit-exactness is the race detector; under TSan it is
+        // also a happens-before proof).
         ::testing::Values(
-            BackendSpec{exec::BackendKind::Serial, 0, false},
-            BackendSpec{exec::BackendKind::ThreadPool, 0, false},
-            BackendSpec{exec::BackendKind::DeviceSim, 2, false},
-            BackendSpec{exec::BackendKind::DeviceSim, 1, true},
-            BackendSpec{exec::BackendKind::DeviceSim, 2, true},
-            BackendSpec{exec::BackendKind::DeviceSim, 4, true})),
+            BackendSpec{exec::BackendKind::Serial, 0},
+            BackendSpec{exec::BackendKind::ThreadPool, 0},
+            BackendSpec{exec::BackendKind::DeviceSim, 1},
+            BackendSpec{exec::BackendKind::DeviceSim, 2},
+            BackendSpec{exec::BackendKind::DeviceSim, 4})),
     [](const ::testing::TestParamInfo<
         std::tuple<const char *, BackendSpec>> &I) {
       return std::string(std::get<0>(I.param)) + "_" +
