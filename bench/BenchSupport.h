@@ -20,6 +20,7 @@
 #include "codegen/HybridCompiler.h"
 #include "gpu/PerfModel.h"
 #include "ir/StencilGallery.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -59,75 +60,9 @@ inline const char *jsonPathArg(int argc, char **argv) {
   return nullptr;
 }
 
-/// One result row of a JSON report: ordered key/value pairs, strings and
-/// numbers.
-class JsonRow {
-public:
-  JsonRow &str(std::string_view Key, std::string_view Value) {
-    add(Key, "\"" + escaped(Value) + "\"");
-    return *this;
-  }
-  JsonRow &num(std::string_view Key, double Value) {
-    char Buf[64];
-    std::snprintf(Buf, sizeof(Buf), "%.10g", Value);
-    add(Key, Buf);
-    return *this;
-  }
-  JsonRow &num(std::string_view Key, int64_t Value) {
-    add(Key, std::to_string(Value));
-    return *this;
-  }
-  JsonRow &num(std::string_view Key, size_t Value) {
-    add(Key, std::to_string(Value));
-    return *this;
-  }
-
-  const std::string &rendered() const { return Body; }
-
-  /// RFC 8259 string escaping: quotes, backslashes and all control
-  /// characters.
-  static std::string escaped(std::string_view S) {
-    std::string Out;
-    for (char C : S) {
-      switch (C) {
-      case '"':
-        Out += "\\\"";
-        break;
-      case '\\':
-        Out += "\\\\";
-        break;
-      case '\n':
-        Out += "\\n";
-        break;
-      case '\t':
-        Out += "\\t";
-        break;
-      case '\r':
-        Out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(C) < 0x20) {
-          char Buf[8];
-          std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-          Out += Buf;
-        } else {
-          Out += C;
-        }
-      }
-    }
-    return Out;
-  }
-
-private:
-  void add(std::string_view Key, std::string_view Rendered) {
-    if (!Body.empty())
-      Body += ", ";
-    Body += "\"" + escaped(Key) + "\": ";
-    Body += Rendered;
-  }
-
-  std::string Body;
-};
+/// The JSON row writer lives in the library (support/Json.h), shared with
+/// the tuning tables.
+using hextile::JsonRow;
 
 /// Machine-readable results of one harness run:
 ///   {"harness": ..., "config": {...}, "results": [{...}, ...]}

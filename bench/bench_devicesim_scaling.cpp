@@ -16,9 +16,7 @@
 // A row outside tolerance is re-measured once (transient stalls skew the
 // measured cadence) and fails the run if it misses again -- the smoke
 // entry in `ctest -L bench` therefore keeps the model honest on every
-// commit. HEXTILE_BENCH_GAP_PCT overrides the tolerance for machines
-// whose simulated-clock granularity is too coarse; unset keeps the
-// strict default.
+// commit.
 //
 // A second sweep prices the *banded* exchange cadence of the overlapped
 // family (exec::runOverlapped over DeviceSim): band depths 1/2/4 on a
@@ -55,28 +53,8 @@ using namespace hextile;
 
 namespace {
 
-/// Default tolerance of the predicted-vs-measured exchange-cost check.
+/// Tolerance of the predicted-vs-measured exchange-cost check.
 constexpr double TOLERANCE_PERCENT = 10.0;
-
-/// The gate tolerance, overridable via HEXTILE_BENCH_GAP_PCT (a positive
-/// percentage) for machines whose simulated-clock granularity is too
-/// coarse for the strict default. Unset or unparsable keeps the strict
-/// default.
-double tolerancePercent() {
-  const char *Env = std::getenv("HEXTILE_BENCH_GAP_PCT");
-  if (!Env || !*Env)
-    return TOLERANCE_PERCENT;
-  char *End = nullptr;
-  double V = std::strtod(Env, &End);
-  if (End == Env || *End != '\0' || !(V > 0)) {
-    std::fprintf(stderr,
-                 "warning: ignoring HEXTILE_BENCH_GAP_PCT=\"%s\" (want a "
-                 "positive percentage); using %.0f%%\n",
-                 Env, TOLERANCE_PERCENT);
-    return TOLERANCE_PERCENT;
-  }
-  return V;
-}
 
 int64_t flagValue(int argc, char **argv, const char *Name, int64_t Default) {
   for (int I = 1; I + 1 < argc; ++I)
@@ -113,13 +91,12 @@ int main(int argc, char **argv) {
                                               harness::ScheduleKind::Classical};
 
   bench::JsonReport Report("bench_devicesim_scaling");
-  const double Tolerance = tolerancePercent();
   Report.config()
       .num("size", Size)
       .num("steps", Steps)
       .num("max_devices", MaxDevices)
       .num("repeats", Repeats)
-      .num("tolerance_percent", Tolerance)
+      .num("tolerance_percent", TOLERANCE_PERCENT)
       .num("smoke", int64_t(Smoke));
 
   std::printf("Threaded DeviceSim scaling: %lldx%lld, %lld steps, devices "
@@ -207,7 +184,7 @@ int main(int argc, char **argv) {
           }
         };
         MeasureRow();
-        if (GapPercent > Tolerance) {
+        if (GapPercent > TOLERANCE_PERCENT) {
           // One re-measure before failing: a transient stall can skew the
           // measured cadence the prediction is fed. A repeatable miss is a
           // real model regression and still fails.
@@ -215,7 +192,7 @@ int main(int argc, char **argv) {
                        "warning: %s %s on %lld devices missed the %.0f%% "
                        "gate (%.1f%%); re-measuring once\n",
                        P.name().c_str(), harness::scheduleKindName(K),
-                       static_cast<long long>(Devices), Tolerance,
+                       static_cast<long long>(Devices), TOLERANCE_PERCENT,
                        GapPercent);
           MeasureRow();
         }
@@ -223,14 +200,15 @@ int main(int argc, char **argv) {
           OneDeviceSecs = Best;
         double Rate = Best > 0 ? Stats.Instances / Best / 1e6 : 0;
         double Speedup = Best > 0 ? OneDeviceSecs / Best : 0;
-        if (GapPercent > Tolerance) {
+        if (GapPercent > TOLERANCE_PERCENT) {
           ++BadRows;
           std::fprintf(stderr,
                        "error: %s %s on %lld devices: predicted exchange "
                        "cost %.3e s vs measured %.3e s (%.1f%% > %.0f%%)\n",
                        P.name().c_str(), harness::scheduleKindName(K),
                        static_cast<long long>(Devices), Predicted.Seconds,
-                       Stats.HaloSimulatedSeconds, GapPercent, Tolerance);
+                       Stats.HaloSimulatedSeconds, GapPercent,
+                       TOLERANCE_PERCENT);
         }
 
         std::printf("%-10s %-10s %4zu %8.4f %9.2f %7.2fx %6zu %8zu %12zu "
@@ -324,7 +302,7 @@ int main(int argc, char **argv) {
           }
         };
         MeasureRow();
-        if (GapPercent > Tolerance)
+        if (GapPercent > TOLERANCE_PERCENT)
           MeasureRow(); // Same one-retry policy as the scaling gate.
         if (!HasLink)
           continue; // Band-deep rings forced a single slab: no boundary.
@@ -337,7 +315,7 @@ int main(int argc, char **argv) {
         int64_t RoundsSaved = Band1Rounds > 0 ? Band1Rounds - Rounds : 0;
         double AlphaSaving =
             Band1Cost > 0 ? Band1Cost - Stats.HaloSimulatedSeconds : 0;
-        if (GapPercent > Tolerance) {
+        if (GapPercent > TOLERANCE_PERCENT) {
           ++BadRows;
           std::fprintf(stderr,
                        "error: %s overlapped band %lld on %lld devices: "
@@ -345,7 +323,8 @@ int main(int argc, char **argv) {
                        "%.0f%%)\n",
                        P.name().c_str(), static_cast<long long>(Band),
                        static_cast<long long>(Devices), Predicted.Seconds,
-                       Stats.HaloSimulatedSeconds, GapPercent, Tolerance);
+                       Stats.HaloSimulatedSeconds, GapPercent,
+                       TOLERANCE_PERCENT);
         }
         if (Band > 1 && Band1Cost > 0 &&
             Stats.HaloSimulatedSeconds >= Band1Cost) {
@@ -395,14 +374,13 @@ int main(int argc, char **argv) {
               "threads = distinct\n worker threads that ran compute; "
               "link-cost = LinkSpec alpha-beta model over\n measured "
               "traffic. Rows whose predicted cost misses the measured cost "
-              "by more\n than %.0f%% fail the run; override with "
-              "HEXTILE_BENCH_GAP_PCT. Banded rows\n must also measure "
-              "cheaper than the per-step cadence.)\n",
-              Tolerance);
+              "by more\n than %.0f%% fail the run. Banded rows must also "
+              "measure cheaper than the\n per-step cadence.)\n",
+              TOLERANCE_PERCENT);
   if (BadRows > 0) {
     std::fprintf(stderr,
                  "error: %d row(s) outside the %.0f%% prediction tolerance\n",
-                 BadRows, Tolerance);
+                 BadRows, TOLERANCE_PERCENT);
     return 1;
   }
   return Report.writeTo(JsonPath) ? 0 : 1;

@@ -7,8 +7,23 @@ using namespace hextile::codegen;
 
 namespace {
 
-EmitTargetHooks cudaHooks() {
+/// The CUDA syntax; \p Threads is the launch width of every kernel.
+EmitTargetHooks cudaHooks(int64_t Threads) {
   EmitTargetHooks H;
+  H.openKernel = [](Source &Out, const std::string &Name,
+                    const std::string &Params) {
+    Out.open("__global__ void " + Name + "(" + Params + ")");
+  };
+  H.BlockIndex = "(ht_int)blockIdx.x";
+  H.SingleBlockLine = "// Classical bands carry inter-tile dependences: "
+                      "launched as a single block.";
+  H.ScratchQualifier = "static __device__";
+  H.DriverQualifier = "void";
+  H.launch = [Threads](const std::string &Name, const std::string &NumBlocks,
+                       const std::string &Args) {
+    return Name + "<<<(unsigned)(" + NumBlocks + "), " +
+           std::to_string(Threads) + ">>>(" + Args + ");";
+  };
   // Threads of the block cover each local time row's points with a
   // blockDim-stride loop, so any launch width is correct; the barrier
   // after every row keeps cross-row dependences inside the tile ordered.
@@ -42,31 +57,11 @@ void emitCudaPrelude(Source &Out) {
   Out.raw(portableHelperFunctions("HT_FN"));
 }
 
-void emitCudaKernel(Source &Out, const EmissionPlan &Plan,
-                    const std::string &Suffix, int Phase,
-                    const EmitTargetHooks &Hooks) {
-  std::string TailParams =
-      Plan.TwoPhase ? "ht_int TT, ht_int S0lo" : "ht_int TB";
-  Out.open("__global__ void " + kernelName(Plan, Suffix) + "(" +
-           Plan.fieldParams() + ", " + TailParams + ")");
-  if (Plan.TwoPhase)
-    Out.line("const ht_int S0 = S0lo + (ht_int)blockIdx.x;");
-  else if (Plan.Schedule == EmitSchedule::Overlapped)
-    Out.line("const ht_int S0 = (ht_int)blockIdx.x; // This block's core "
-             "tile.");
-  else
-    Out.line("// Classical bands carry inter-tile dependences: launched "
-             "as a single block.");
-  emitKernelBody(Out, Plan, Phase, Hooks);
-  Out.close();
-}
-
 } // namespace
 
 std::string codegen::emitCuda(const CompiledHybrid &C, EmitSchedule S) {
   EmissionPlan Plan = EmissionPlan::build(C, S);
   const ir::StencilProgram &P = *Plan.Program;
-  EmitTargetHooks Hooks = cudaHooks();
 
   Source Out;
   Out.line("// " + P.name() + ": " + std::string(emitScheduleName(S)) +
@@ -106,41 +101,7 @@ std::string codegen::emitCuda(const CompiledHybrid &C, EmitSchedule S) {
   Out.blank();
   emitCudaPrelude(Out);
   Out.blank();
-  emitPlanTables(Out, Plan);
-  if (S == EmitSchedule::Overlapped) {
-    Out.blank();
-    emitOverlappedScratch(Out, Plan, "static __device__");
-  }
-  Out.blank();
-
-  if (Plan.TwoPhase) {
-    emitCudaKernel(Out, Plan, "phase0", 0, Hooks);
-    Out.blank();
-    emitCudaKernel(Out, Plan, "phase1", 1, Hooks);
-  } else if (S == EmitSchedule::Overlapped) {
-    emitCudaKernel(Out, Plan, "oband", 0, Hooks);
-    Out.blank();
-    emitCudaKernel(Out, Plan, "ocopy", 1, Hooks);
-  } else {
-    emitCudaKernel(Out, Plan, "band", 0, Hooks);
-  }
-  Out.blank();
-
-  // Host driver: the T loop with one launch per phase and tile
-  // (Sec. 4.1); thread count (1, w1, ..., wn) as in Sec. 6.2.
-  int64_t Threads = std::max<int64_t>(C.threadsPerBlock(), 1);
-  Out.open("void " + P.name() + "_host(" + Plan.fieldParams() + ")");
-  emitHostDriver(Out, Plan,
-                 [&](Source &O, const std::string &Suffix,
-                     const std::string &NumBlocks,
-                     const std::vector<std::string> &Extra) {
-                   std::string Args = Plan.fieldArgs();
-                   for (const std::string &E : Extra)
-                     Args += ", " + E;
-                   O.line(kernelName(Plan, Suffix) + "<<<(unsigned)(" +
-                          NumBlocks + "), " + std::to_string(Threads) +
-                          ">>>(" + Args + ");");
-                 });
-  Out.close();
+  // Every kernel launches (1, w1, ..., wn) threads, as in Sec. 6.2.
+  emitUnit(Out, Plan, cudaHooks(std::max<int64_t>(C.threadsPerBlock(), 1)));
   return Out.take();
 }

@@ -169,56 +169,42 @@ namespace {
 /// and pad the extent to compensate.
 void buildStagingPlan(EmissionPlan &Plan, const OptimizationConfig &Cfg) {
   StagingPlan &St = Plan.Staging;
-  if (Plan.Schedule == EmitSchedule::Overlapped) {
-    // The fifth family *requires* staging -- the band computes entirely
-    // against the tile-private window -- and only supports the direct
-    // window placement: the separate ocopy kernel re-derives window
-    // offsets, so the static mod-mapping and the alignment translation
-    // would have to be replicated there for no benefit.
-    St.Enabled = true;
-    St.Interleaved = false;
-    St.StaticPlacement = false;
-    St.AlignQuantum = 1;
-    const ir::StencilProgram &P = *Plan.Program;
-    for (unsigned Dim = 0; Dim < Plan.Rank; ++Dim) {
-      int64_t LoPad, Ext;
-      if (Dim == 0) {
-        // Core tile padded by the band-entry footprint: every margin cell
-        // and every pre-band read of the band lands inside it.
-        LoPad = Plan.Over.FootLo;
-        Ext = Plan.Over.TileW + Plan.Over.FootLo + Plan.Over.FootHi;
-      } else {
-        LoPad = P.loHalo(Dim);
-        Ext = Plan.Inner[Dim - 1].Width + LoPad + P.hiHalo(Dim);
-      }
-      St.LoPad.push_back(LoPad);
-      St.Ext.push_back(Ext);
-      St.WindowPoints *= Ext;
-    }
-    return;
-  }
-  St.Enabled = Cfg.UseSharedMemory;
+  // The fifth family *requires* staging -- the band computes entirely
+  // against the tile-private window -- and only supports the direct
+  // window placement: the separate ocopy kernel re-derives window
+  // offsets, so the static mod-mapping and the alignment translation
+  // would have to be replicated there for no benefit.
+  bool Overlapped = Plan.Schedule == EmitSchedule::Overlapped;
+  St.Enabled = Overlapped || Cfg.UseSharedMemory;
   if (!St.Enabled)
     return;
-  St.Interleaved = Cfg.InterleaveCopyOut;
-  St.StaticPlacement = Cfg.Reuse == ReuseKind::Static && Cfg.EmitStaticReuse;
-  St.AlignQuantum = Cfg.AlignLoads ? 32 : 1;
+  if (!Overlapped) {
+    St.Interleaved = Cfg.InterleaveCopyOut;
+    St.StaticPlacement =
+        Cfg.Reuse == ReuseKind::Static && Cfg.EmitStaticReuse;
+    St.AlignQuantum = Cfg.AlignLoads ? 32 : 1;
+  }
   const ir::StencilProgram &P = *Plan.Program;
   unsigned Base = Plan.innerBaseDim();
   for (unsigned Dim = 0; Dim < Plan.Rank; ++Dim) {
-    int64_t Foot, SkewMax;
-    if (Plan.TwoPhase && Dim == 0) {
+    int64_t Foot, LoPad = P.loHalo(Dim), HiPad = P.hiHalo(Dim);
+    if (Overlapped && Dim == 0) {
+      // Core tile padded by the band-entry footprint: every margin cell
+      // and every pre-band read of the band lands inside it.
+      Foot = Plan.Over.TileW;
+      LoPad = Plan.Over.FootLo;
+      HiPad = Plan.Over.FootHi;
+    } else if (Plan.TwoPhase && Dim == 0) {
       Foot = Plan.MaxB - Plan.MinB + 1;
-      SkewMax = 0;
     } else {
       const InnerTilePlan &I = Plan.Inner[Dim - Base];
       Foot = I.Width;
-      SkewMax = 0;
+      int64_t SkewMax = 0;
       for (int64_t V : I.SkewByU)
         SkewMax = std::max(SkewMax, V);
+      LoPad += SkewMax;
     }
-    int64_t LoPad = SkewMax + P.loHalo(Dim);
-    int64_t Ext = Foot + LoPad + P.hiHalo(Dim);
+    int64_t Ext = Foot + LoPad + HiPad;
     if (Dim == Plan.Rank - 1 && St.AlignQuantum > 1)
       Ext += St.AlignQuantum - 1;
     St.LoPad.push_back(LoPad);
@@ -253,55 +239,44 @@ EmissionPlan EmissionPlan::build(const CompiledHybrid &C, EmitSchedule S) {
     Plan.Depth[F] = P.bufferDepth(F);
   Plan.Period = Par.timePeriod();
 
-  // The skew table of one classically tiled dimension over a full period.
-  auto SkewTable = [&](const core::ClassicalTiling &T) {
-    std::vector<int64_t> Skew(Plan.Period);
+  // One classically tiled dimension (eqs. (14)/(17)): its skew table over
+  // a full period, and the tile-index range covering [Lo, Hi) for all u:
+  // s + skew(u) spans [Lo + 0, Hi - 1 + skew(2h+1)] since skew is monotone
+  // with skew(0) = 0.
+  auto Tiled = [&](const core::ClassicalTiling &T, unsigned Dim) {
+    InnerTilePlan I;
+    I.Width = T.width();
+    I.SkewNum = T.delta1().num();
+    I.SkewDen = T.delta1().den();
     for (int64_t U = 0; U < Plan.Period; ++U)
-      Skew[U] = T.skew(U);
-    return Skew;
-  };
-  // Tile-index range covering [Lo, Hi) for all u: s + skew(u) spans
-  // [Lo + 0, Hi - 1 + skew(2h+1)] since skew is monotone with skew(0) = 0.
-  auto TileRange = [&](InnerTilePlan &I, unsigned Dim) {
+      I.SkewByU.push_back(T.skew(U));
     I.TileLo = floorDiv(Plan.Lo[Dim], I.Width);
     I.TileHi = floorDiv(Plan.Hi[Dim] - 1 + I.SkewByU[Plan.Period - 1],
                         I.Width);
     if (I.TileHi < I.TileLo)
       I.TileHi = I.TileLo; // Empty update domain: keep a well-formed loop.
+    return I;
+  };
+  // An untiled dimension: one degenerate unskewed tile covering the whole
+  // extent, so the in-kernel loops sweep [0, size) with the usual domain
+  // guards.
+  auto Untiled = [&](unsigned Dim) {
+    InnerTilePlan I;
+    I.Width = std::max<int64_t>(Plan.Hi[Dim], 1);
+    I.SkewByU.assign(Plan.Period, 0);
+    return I;
   };
 
   if (S == EmitSchedule::Classical) {
-    Plan.TwoPhase = false;
     Plan.BandHi = Plan.TimeExtent > 0
                       ? floorDiv(Plan.TimeExtent - 1, Plan.Period)
                       : -1;
     // Every spatial dimension is classically tiled: dim 0 with the hex
     // parameters' width and lower cone slope, inner dims as in the hybrid
     // schedule (the Sec. 3.4 scheme the oracle's Classical kind replays).
-    core::ClassicalTiling T0(Par.W0, Par.Delta1, Plan.Period);
-    InnerTilePlan I0;
-    I0.Width = T0.width();
-    I0.SkewNum = T0.delta1().num();
-    I0.SkewDen = T0.delta1().den();
-    I0.SkewByU = SkewTable(T0);
-    TileRange(I0, 0);
-    Plan.Inner.push_back(std::move(I0));
-    for (unsigned Dim = 1; Dim < Plan.Rank; ++Dim) {
-      const core::ClassicalTiling &T = Sched.inner()[Dim - 1];
-      InnerTilePlan I;
-      I.Width = T.width();
-      I.SkewNum = T.delta1().num();
-      I.SkewDen = T.delta1().den();
-      I.SkewByU = SkewTable(T);
-      TileRange(I, Dim);
-      Plan.Inner.push_back(std::move(I));
-    }
-    buildStagingPlan(Plan, C.config());
-    return Plan;
-  }
-
-  if (S == EmitSchedule::Overlapped) {
-    Plan.TwoPhase = false;
+    Plan.Inner.push_back(
+        Tiled(core::ClassicalTiling(Par.W0, Par.Delta1, Plan.Period), 0));
+  } else if (S == EmitSchedule::Overlapped) {
     // Band height: the hexagonal time period expressed in full steps,
     // clamped to a small range -- the redundancy (and the footprint) grow
     // linearly with the band, so deep bands only pay off when launches
@@ -320,74 +295,41 @@ EmissionPlan EmissionPlan::build(const CompiledHybrid &C, EmitSchedule S) {
       Plan.Over.MLo.push_back(Ov.marginLo(V));
       Plan.Over.MHi.push_back(Ov.marginHi(V));
     }
-    // Inner dimensions stay untiled, exactly like the Hex flavor: one
-    // degenerate unskewed tile covering the whole extent.
-    for (unsigned Dim = 1; Dim < Plan.Rank; ++Dim) {
-      InnerTilePlan I;
-      I.Width = std::max<int64_t>(Plan.Hi[Dim], 1);
-      I.SkewNum = 0;
-      I.SkewDen = 1;
-      I.SkewByU.assign(static_cast<size_t>(std::max<int64_t>(Plan.Period, 1)),
-                       0);
-      I.TileLo = I.TileHi = 0;
-      Plan.Inner.push_back(std::move(I));
+  } else {
+    Plan.TwoPhase = true;
+    Plan.SpacePeriod = Par.spacePeriod();
+    Plan.Drift = Par.drift();
+    for (int Phase = 0; Phase < 2; ++Phase) {
+      Sched.hex().tileOrigin(0, Phase, 0, Plan.OrigT[Phase],
+                             Plan.OrigS[Phase]);
+      // Time tiles whose window [TT*P + OrigT, TT*P + OrigT + P) meets the
+      // canonical time range [0, TimeExtent).
+      Plan.TTLo[Phase] = ceilDiv(1 - Plan.Period - Plan.OrigT[Phase],
+                                 Plan.Period);
+      Plan.TTHi[Phase] = Plan.TimeExtent > 0
+                             ? floorDiv(Plan.TimeExtent - 1 -
+                                            Plan.OrigT[Phase],
+                                        Plan.Period)
+                             : Plan.TTLo[Phase] - 1;
     }
-    buildStagingPlan(Plan, C.config());
-    return Plan;
+    const core::HexagonGeometry &Hex = Sched.hex().hexagon();
+    Plan.MinB = Hex.minB();
+    Plan.MaxB = Hex.maxB();
+    Plan.RowLo.resize(Plan.Period);
+    Plan.RowHi.resize(Plan.Period);
+    for (int64_t A = 0; A < Plan.Period; ++A)
+      Hex.rowRange(A, Plan.RowLo[A], Plan.RowHi[A]);
   }
 
-  Plan.TwoPhase = true;
-  Plan.SpacePeriod = Par.spacePeriod();
-  Plan.Drift = Par.drift();
-  for (int Phase = 0; Phase < 2; ++Phase) {
-    Sched.hex().tileOrigin(0, Phase, 0, Plan.OrigT[Phase],
-                           Plan.OrigS[Phase]);
-    // Time tiles whose window [TT*P + OrigT, TT*P + OrigT + P) meets the
-    // canonical time range [0, TimeExtent).
-    Plan.TTLo[Phase] = ceilDiv(1 - Plan.Period - Plan.OrigT[Phase],
-                               Plan.Period);
-    Plan.TTHi[Phase] = Plan.TimeExtent > 0
-                           ? floorDiv(Plan.TimeExtent - 1 -
-                                          Plan.OrigT[Phase],
-                                      Plan.Period)
-                           : Plan.TTLo[Phase] - 1;
-  }
-  const core::HexagonGeometry &Hex = Sched.hex().hexagon();
-  Plan.MinB = Hex.minB();
-  Plan.MaxB = Hex.maxB();
-  Plan.RowLo.resize(Plan.Period);
-  Plan.RowHi.resize(Plan.Period);
-  for (int64_t A = 0; A < Plan.Period; ++A)
-    Hex.rowRange(A, Plan.RowLo[A], Plan.RowHi[A]);
-
-  for (unsigned Dim = 1; Dim < Plan.Rank; ++Dim) {
-    InnerTilePlan I;
-    if (S == EmitSchedule::Hybrid) {
-      const core::ClassicalTiling &T = Sched.inner()[Dim - 1];
-      I.Width = T.width();
-      I.SkewNum = T.delta1().num();
-      I.SkewDen = T.delta1().den();
-      I.SkewByU = SkewTable(T);
-      TileRange(I, Dim);
-    } else {
-      // Hex flavor: the inner dimensions stay untiled -- one degenerate
-      // unskewed tile covering the whole extent, so the in-kernel loops
-      // sweep [0, size) with the usual domain guards.
-      I.Width = std::max<int64_t>(Plan.Hi[Dim], 1);
-      I.SkewNum = 0;
-      I.SkewDen = 1;
-      I.SkewByU.assign(Plan.Period, 0);
-      I.TileLo = I.TileHi = 0;
-    }
-    Plan.Inner.push_back(std::move(I));
-  }
+  // Dims 1..Rank-1 are tiled as in the hybrid schedule by Hybrid and
+  // Classical; Hex and Overlapped leave them untiled.
+  bool TileInner =
+      S == EmitSchedule::Hybrid || S == EmitSchedule::Classical;
+  for (unsigned Dim = 1; Dim < Plan.Rank; ++Dim)
+    Plan.Inner.push_back(TileInner ? Tiled(Sched.inner()[Dim - 1], Dim)
+                                   : Untiled(Dim));
   buildStagingPlan(Plan, C.config());
   return Plan;
-}
-
-std::string codegen::kernelName(const EmissionPlan &Plan,
-                                const std::string &Suffix) {
-  return Plan.Program->name() + "_" + Suffix;
 }
 
 namespace {
@@ -656,13 +598,12 @@ std::string emitLocalDecompose(Source &Out, const EmissionPlan &Plan,
 }
 
 /// Emits the sequential tile loops over the classically tiled dimensions
-/// [FirstDim, Rank) (a `const` binding when only one tile intersects the
-/// domain). Returns how many scopes were opened.
-unsigned emitTileLoops(Source &Out, const EmissionPlan &Plan,
-                       unsigned FirstDim) {
+/// (a `const` binding when only one tile intersects the domain). Returns
+/// how many scopes were opened.
+unsigned emitTileLoops(Source &Out, const EmissionPlan &Plan) {
   unsigned Base = Plan.innerBaseDim();
   unsigned Opened = 0;
-  for (unsigned Dim = FirstDim; Dim < Plan.Rank; ++Dim) {
+  for (unsigned Dim = Base; Dim < Plan.Rank; ++Dim) {
     const InnerTilePlan &I = Plan.Inner[Dim - Base];
     std::string SV = "S" + std::to_string(Dim);
     if (I.singleTile()) {
@@ -730,21 +671,6 @@ void emitTilePasses(
   }
 }
 
-void emitHexBody(Source &Out, const EmissionPlan &Plan, int Phase,
-                 const EmitTargetHooks &Hooks) {
-  // Tile origin: local (a, b) = (0, 0) sits at (t0, s0_0); see
-  // HexSchedule::tileOrigin.
-  Out.line("const ht_int t0 = TT * " + i64(Plan.Period) + " + (" +
-           i64(Plan.OrigT[Phase]) + ");");
-  Out.line("const ht_int s0_0 = S0 * " + i64(Plan.SpacePeriod) +
-           " - TT * (" + i64(Plan.Drift) + ") + (" +
-           i64(Plan.OrigS[Phase]) + ");");
-  unsigned TileScopes = emitTileLoops(Out, Plan, 1);
-  emitTilePasses(Out, Plan, Hooks, emitHexTimeLoop);
-  for (unsigned I = 0; I < TileScopes; ++I)
-    Out.close();
-}
-
 /// The classical local time loop over u; see emitHexTimeLoop.
 void emitClassicalTimeLoop(Source &Out, const EmissionPlan &Plan,
                            const EmitTargetHooks &Hooks,
@@ -764,14 +690,6 @@ void emitClassicalTimeLoop(Source &Out, const EmissionPlan &Plan,
   Out.close(); // Time guard.
   Hooks.barrier(Out);
   Out.close(); // u loop.
-}
-
-void emitClassicalBody(Source &Out, const EmissionPlan &Plan,
-                       const EmitTargetHooks &Hooks) {
-  unsigned TileScopes = emitTileLoops(Out, Plan, 0);
-  emitTilePasses(Out, Plan, Hooks, emitClassicalTimeLoop);
-  for (unsigned I = 0; I < TileScopes; ++I)
-    Out.close();
 }
 
 /// Which fields some statement writes (the ocopy kernel only moves those;
@@ -807,7 +725,6 @@ void emitOverlappedStagePointers(Source &Out, const EmissionPlan &Plan,
 void emitOverlappedBody(Source &Out, const EmissionPlan &Plan,
                         const EmitTargetHooks &Hooks) {
   const OverlappedPlan &Ov = Plan.Over;
-  unsigned TileScopes = emitTileLoops(Out, Plan, 1);
   emitStageBases(Out, Plan);
   emitStageLoads(Out, Plan, Hooks);
   Out.line("// Band ticks with shrinking redundant margins (ht_mlo/ht_mhi);");
@@ -838,8 +755,6 @@ void emitOverlappedBody(Source &Out, const EmissionPlan &Plan,
   Out.close(); // Time guard.
   Hooks.barrier(Out);
   Out.close(); // Tick loop.
-  for (unsigned I = 0; I < TileScopes; ++I)
-    Out.close();
 }
 
 /// The ocopy kernel body: move every rotating slot of the tile's *core*
@@ -850,7 +765,6 @@ void emitOverlappedCopyBody(Source &Out, const EmissionPlan &Plan,
                             const EmitTargetHooks &Hooks) {
   const OverlappedPlan &Ov = Plan.Over;
   const StagingPlan &St = Plan.Staging;
-  unsigned TileScopes = emitTileLoops(Out, Plan, 1);
   emitStageBases(Out, Plan);
   Out.line("const ht_int ht_core_lo = S0 * " + i64(Ov.TileW) + ";");
   Out.line("const ht_int ht_core_raw = ht_core_lo + " + i64(Ov.TileW) +
@@ -896,26 +810,24 @@ void emitOverlappedCopyBody(Source &Out, const EmissionPlan &Plan,
     Out.close();
     Hooks.closeThreadLoop(Out);
   }
-  for (unsigned I = 0; I < TileScopes; ++I)
-    Out.close();
 }
 
-} // namespace
-
-void codegen::emitKernelBody(Source &Out, const EmissionPlan &Plan,
-                             int Phase, const EmitTargetHooks &Hooks) {
-  if (Plan.Schedule == EmitSchedule::Overlapped) {
+/// Emits the body of one kernel: for Hex/Hybrid \p Phase selects the
+/// hexagonal phase and the body expects `TT` (time tile) and `S0` (this
+/// block's hexagonal tile index) in scope; for Classical \p Phase is
+/// ignored and the body expects `TB` (time band); for Overlapped the body
+/// expects `TB` and `S0` (this block's core tile index), and \p Phase
+/// selects the band kernel (0, "oband") or the core copy-out kernel (1,
+/// "ocopy").
+void emitKernelBody(Source &Out, const EmissionPlan &Plan, int Phase,
+                    const EmitTargetHooks &Hooks) {
+  bool Overlapped = Plan.Schedule == EmitSchedule::Overlapped;
+  if (Overlapped) {
     // Overlapped windows are per-tile slices of the file-scope scratch
-    // arrays (emitOverlappedScratch), not target-declared shared buffers:
+    // arrays (see emitUnit), not target-declared shared buffers:
     // they must survive the launch boundary between oband and ocopy.
     emitOverlappedStagePointers(Out, Plan, Phase);
-    if (Phase == 0)
-      emitOverlappedBody(Out, Plan, Hooks);
-    else
-      emitOverlappedCopyBody(Out, Plan, Hooks);
-    return;
-  }
-  if (Plan.Staging.Enabled) {
+  } else if (Plan.Staging.Enabled) {
     std::string Exts;
     for (size_t D = 0; D < Plan.Staging.Ext.size(); ++D)
       Exts += (D ? "x" : "") + i64(Plan.Staging.Ext[D]);
@@ -928,13 +840,31 @@ void codegen::emitKernelBody(Source &Out, const EmissionPlan &Plan,
     for (unsigned F = 0; F < Plan.Program->fields().size(); ++F)
       Hooks.declareShared(Out, Plan.stageArg(F), Plan.stageTotalElems(F));
   }
-  if (Plan.TwoPhase)
-    emitHexBody(Out, Plan, Phase, Hooks);
+  if (Plan.TwoPhase) {
+    // Tile origin: local (a, b) = (0, 0) sits at (t0, s0_0); see
+    // HexSchedule::tileOrigin.
+    Out.line("const ht_int t0 = TT * " + i64(Plan.Period) + " + (" +
+             i64(Plan.OrigT[Phase]) + ");");
+    Out.line("const ht_int s0_0 = S0 * " + i64(Plan.SpacePeriod) +
+             " - TT * (" + i64(Plan.Drift) + ") + (" +
+             i64(Plan.OrigS[Phase]) + ");");
+  }
+  unsigned TileScopes = emitTileLoops(Out, Plan);
+  if (Overlapped && Phase == 0)
+    emitOverlappedBody(Out, Plan, Hooks);
+  else if (Overlapped)
+    emitOverlappedCopyBody(Out, Plan, Hooks);
   else
-    emitClassicalBody(Out, Plan, Hooks);
+    emitTilePasses(Out, Plan, Hooks,
+                   Plan.TwoPhase ? emitHexTimeLoop : emitClassicalTimeLoop);
+  for (unsigned I = 0; I < TileScopes; ++I)
+    Out.close();
 }
 
-void codegen::emitPlanTables(Source &Out, const EmissionPlan &Plan) {
+/// Emits the file-scope constant tables the kernel bodies reference (the
+/// hexagon row ranges, the Overlapped margins and the per-dimension skew
+/// tables).
+void emitPlanTables(Source &Out, const EmissionPlan &Plan) {
   auto Table = [&](const std::string &Name,
                    const std::vector<int64_t> &Values) {
     std::string Init;
@@ -969,22 +899,49 @@ void codegen::emitPlanTables(Source &Out, const EmissionPlan &Plan) {
   }
 }
 
-void codegen::emitOverlappedScratch(Source &Out, const EmissionPlan &Plan,
-                                    const std::string &Qualifier) {
-  Out.line("// Per-tile staging windows of the overlapped bands: every "
-           "tile owns a");
-  Out.line("// disjoint slice, so concurrent blocks never share scratch.");
-  for (unsigned F = 0; F < Plan.Program->fields().size(); ++F)
-    Out.line(Qualifier + " float ht_sg_" + Plan.Program->fields()[F].Name +
-             "[" + i64(Plan.Over.NumTiles * Plan.stageTotalElems(F)) +
-             "];");
+/// One kernel of a flavor: its name and the phase its body renders.
+struct KernelSpec {
+  std::string Name;
+  int Phase;
+};
+
+/// The kernels of \p Plan's flavor, in definition and launch order.
+std::vector<KernelSpec> flavorKernels(const EmissionPlan &Plan) {
+  std::string Prog = Plan.Program->name() + "_";
+  if (Plan.TwoPhase)
+    return {{Prog + "phase0", 0}, {Prog + "phase1", 1}};
+  if (Plan.Schedule == EmitSchedule::Overlapped)
+    return {{Prog + "oband", 0}, {Prog + "ocopy", 1}};
+  return {{Prog + "band", 0}};
 }
 
-void codegen::emitHostDriver(
-    Source &Out, const EmissionPlan &Plan,
-    const std::function<void(Source &, const std::string &,
-                             const std::string &,
-                             const std::vector<std::string> &)> &Launch) {
+/// Emits kernel \p K: the flavor's tail parameters, its S0 binding and
+/// the body.
+void emitKernel(Source &Out, const EmissionPlan &Plan, const KernelSpec &K,
+                const EmitTargetHooks &Hooks) {
+  std::string Tail = Plan.TwoPhase ? "ht_int TT, ht_int S0lo" : "ht_int TB";
+  Hooks.openKernel(Out, K.Name, Plan.fieldParams() + ", " + Tail);
+  if (Plan.TwoPhase)
+    Out.line("const ht_int S0 = S0lo + " + Hooks.BlockIndex + ";");
+  else if (Plan.Schedule == EmitSchedule::Overlapped)
+    Out.line("const ht_int S0 = " + Hooks.BlockIndex +
+             "; // This block's core tile.");
+  else
+    Out.line(Hooks.SingleBlockLine);
+  emitKernelBody(Out, Plan, K.Phase, Hooks);
+  Out.close();
+}
+
+/// Emits the host driver loop: the sequential time-tile (or band) loop
+/// with per-phase tile-range guards, per-launch S0 window computation and
+/// one launch of each of \p Kernels.
+void emitHostDriver(Source &Out, const EmissionPlan &Plan,
+                    const std::vector<KernelSpec> &Kernels,
+                    const EmitTargetHooks &Hooks) {
+  auto Launch = [&](const KernelSpec &K, const std::string &NumBlocks,
+                    const std::string &Tail) {
+    Out.line(Hooks.launch(K.Name, NumBlocks, Plan.fieldArgs() + ", " + Tail));
+  };
   if (Plan.Schedule == EmitSchedule::Overlapped) {
     if (Plan.Over.NumBands <= 0)
       return;
@@ -994,8 +951,8 @@ void codegen::emitHostDriver(
              "the barrier.");
     Out.open("for (ht_int TB = 0; TB < " + i64(Plan.Over.NumBands) +
              "; ++TB)");
-    Launch(Out, "oband", i64(Plan.Over.NumTiles), {"TB"});
-    Launch(Out, "ocopy", i64(Plan.Over.NumTiles), {"TB"});
+    for (const KernelSpec &K : Kernels)
+      Launch(K, i64(Plan.Over.NumTiles), "TB");
     Out.close();
     return;
   }
@@ -1003,7 +960,7 @@ void codegen::emitHostDriver(
     if (Plan.BandHi < 0)
       return;
     Out.open("for (ht_int TB = 0; TB <= " + i64(Plan.BandHi) + "; ++TB)");
-    Launch(Out, "band", "1", {"TB"});
+    Launch(Kernels[0], "1", "TB");
     Out.close();
     return;
   }
@@ -1028,10 +985,38 @@ void codegen::emitHostDriver(
     Out.line("const ht_int ht_s0hi = ht_fdiv(" + i64(CHi) + " + TT * (" +
              i64(Plan.Drift) + "), " + i64(Plan.SpacePeriod) + ");");
     Out.open("if (ht_s0hi >= ht_s0lo)");
-    Launch(Out, "phase" + std::to_string(Phase), "ht_s0hi - ht_s0lo + 1",
-           {"TT", "ht_s0lo"});
+    Launch(Kernels[Phase], "ht_s0hi - ht_s0lo + 1", "TT, ht_s0lo");
     Out.close();
     Out.close();
   }
+  Out.close();
+}
+
+} // namespace
+
+void codegen::emitUnit(Source &Out, const EmissionPlan &Plan,
+                       const EmitTargetHooks &Hooks) {
+  emitPlanTables(Out, Plan);
+  if (Plan.Schedule == EmitSchedule::Overlapped) {
+    Out.blank();
+    Out.line("// Per-tile staging windows of the overlapped bands: every "
+             "tile owns a");
+    Out.line("// disjoint slice, so concurrent blocks never share scratch.");
+    for (unsigned F = 0; F < Plan.Program->fields().size(); ++F)
+      Out.line(Hooks.ScratchQualifier + " float ht_sg_" +
+               Plan.Program->fields()[F].Name + "[" +
+               i64(Plan.Over.NumTiles * Plan.stageTotalElems(F)) + "];");
+  }
+  Out.blank();
+  std::vector<KernelSpec> Kernels = flavorKernels(Plan);
+  for (size_t K = 0; K < Kernels.size(); ++K) {
+    if (K)
+      Out.blank();
+    emitKernel(Out, Plan, Kernels[K], Hooks);
+  }
+  Out.blank();
+  Out.open(Hooks.DriverQualifier + " " + Plan.Program->name() + "_host(" +
+           Plan.fieldParams() + ")");
+  emitHostDriver(Out, Plan, Kernels, Hooks);
   Out.close();
 }

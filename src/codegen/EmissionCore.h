@@ -20,16 +20,19 @@
 ///    (HexSchedule / ClassicalTiling), so the emitted loops enumerate
 ///    exactly the statement instances the schedule-key replay enumerates.
 ///
-///  * emitKernelBody / emitHostDriver -- the shared kernel-body and host
-///    time-loop builders. Targets parameterize them with EmitTargetHooks
-///    (how to open a forall-threads region, render a barrier, render a
-///    buffer element access, declare/address a staging buffer), and the
-///    core emits identical *semantics* for every target: the same loops,
-///    guards, statement dispatch and arithmetic, bit-exact with
-///    exec::executeInstance. When the compile's OptimizationConfig asks
-///    for shared-memory staging (Sec. 4.2), the body additionally renders
-///    the cooperative load phase, the barriers and the separate or
-///    interleaved copy-out over a per-tile StagingPlan window.
+///  * emitUnit -- renders everything below a target's prelude: the
+///    constant tables, the overlapped per-tile scratch, every kernel of the
+///    flavor and the `<prog>_host` driver. Targets parameterize it with
+///    EmitTargetHooks, which choose surface syntax only (how a kernel
+///    opens, the block index, how to open a forall-threads region, render
+///    a barrier, a buffer element access, a staging buffer, a launch), and
+///    the core emits identical *semantics* for every target: the same
+///    kernel set, loops, guards, statement dispatch and arithmetic,
+///    bit-exact with exec::executeInstance. When the compile's
+///    OptimizationConfig asks for shared-memory staging (Sec. 4.2), the
+///    body additionally renders the cooperative load phase, the barriers
+///    and the separate or interleaved copy-out over a per-tile StagingPlan
+///    window.
 ///
 ///  * Rendering utilities -- the indented Source builder, exact float
 ///    literal formatting (hex-floats, so emitted constants round-trip
@@ -251,8 +254,32 @@ struct EmissionPlan {
   }
 };
 
-/// Syntax hooks one emission target provides to the shared builders.
+/// Syntax hooks one emission target provides to emitUnit.
 struct EmitTargetHooks {
+  /// Opens the definition of kernel \p Name over the parameter list
+  /// \p Params (field buffers, then the flavor's tail parameters), leaving
+  /// Out indented inside the body; emitUnit closes it (host: a static
+  /// function taking the block index first; CUDA: a __global__ kernel).
+  std::function<void(Source &Out, const std::string &Name,
+                     const std::string &Params)>
+      openKernel;
+  /// The expression a kernel reads its block index from (host: the
+  /// `ht_block` parameter; CUDA: blockIdx.x).
+  std::string BlockIndex;
+  /// The line a single-block kernel (Classical bands) starts with in place
+  /// of an S0 binding.
+  std::string SingleBlockLine;
+  /// Qualifier of the Overlapped flavor's file-scope per-tile scratch
+  /// arrays ("static" on the host, "static __device__" for CUDA).
+  std::string ScratchQualifier;
+  /// Return type and qualifiers of the `<prog>_host` driver.
+  std::string DriverQualifier;
+  /// Renders one launch statement of kernel \p Name over \p NumBlocks
+  /// blocks with the argument list \p Args.
+  std::function<std::string(const std::string &Name,
+                            const std::string &NumBlocks,
+                            const std::string &Args)>
+      launch;
   /// Opens the forall-threads region over \p CountExpr points, binding the
   /// linear point id to \p TidVar (CUDA: a blockDim-stride loop; host: a
   /// plain serial loop). Must leave Out indented inside the region.
@@ -285,48 +312,26 @@ struct EmitTargetHooks {
       stageAccess;
 };
 
-/// Emits the body of one kernel into \p Out: the sequential classical tile
-/// loops, the local time loop with its barrier, the forall-threads point
-/// enumeration, domain guards, statement dispatch and the bit-exact update
-/// arithmetic. For Hex/Hybrid \p Phase selects the hexagonal phase and the
-/// body expects `TT` (time tile) and `S0` (this block's hexagonal tile
-/// index) in scope; for Classical \p Phase is ignored and the body expects
-/// `TB` (time band); for Overlapped the body expects `TB` (time band) and
-/// `S0` (this block's core tile index), and \p Phase selects the band
-/// kernel (0, "oband") or the core copy-out kernel (1, "ocopy").
-void emitKernelBody(Source &Out, const EmissionPlan &Plan, int Phase,
-                    const EmitTargetHooks &Hooks);
-
-/// Emits the file-scope per-tile scratch arrays of the Overlapped flavor:
-/// `<Qualifier> float ht_sg_<field>[NumTiles * stageTotalElems];` per
-/// field. Overlapped windows live across a launch boundary (oband writes,
-/// ocopy reads), so they are ordinary storage -- "static float" on the
-/// host, "static __device__ float" for CUDA -- never __shared__; each tile
-/// addresses its disjoint slice, so concurrent blocks never share scratch.
-void emitOverlappedScratch(Source &Out, const EmissionPlan &Plan,
-                           const std::string &Qualifier);
-
-/// Emits the file-scope constant tables the kernel bodies reference (the
-/// hexagon row ranges and the per-dimension skew tables).
-void emitPlanTables(Source &Out, const EmissionPlan &Plan);
-
-/// Emits the host driver loop: the sequential time-tile (or band) loop
-/// with per-phase tile-range guards and per-launch S0 window computation.
-/// \p Launch renders one kernel launch; it receives the kernel suffix
-/// ("phase0"/"phase1", "band", or "oband"/"ocopy" for Overlapped), the
-/// block-count expression and the trailing kernel arguments (after the
-/// field buffers).
-void emitHostDriver(
-    Source &Out, const EmissionPlan &Plan,
-    const std::function<void(Source &Out, const std::string &KernelSuffix,
-                             const std::string &NumBlocksExpr,
-                             const std::vector<std::string> &ExtraArgs)>
-        &Launch);
-
-/// Kernel name for one phase: "<prog>_phase0", "<prog>_phase1",
-/// "<prog>_band" (Classical), or "<prog>_oband" / "<prog>_ocopy"
-/// (Overlapped).
-std::string kernelName(const EmissionPlan &Plan, const std::string &Suffix);
+/// Emits everything of one unit below the target's prelude into \p Out:
+///
+///  * the file-scope constant tables (hexagon row ranges, per-dimension
+///    skew tables, the Overlapped margin tables) and, for Overlapped, the
+///    per-tile scratch arrays `ht_sg_<field>[NumTiles * stageTotalElems]`
+///    -- windows that live across the oband -> ocopy launch boundary, so
+///    ordinary storage, never __shared__; each tile addresses its disjoint
+///    slice, so concurrent blocks never share scratch;
+///  * every kernel of the flavor -- "<prog>_phase0"/"<prog>_phase1"
+///    (Hex/Hybrid: `TT`, `S0lo` tail, `S0 = S0lo + block`), "<prog>_band"
+///    (Classical: `TB` tail, one block) or "<prog>_oband"/"<prog>_ocopy"
+///    (Overlapped: `TB` tail, `S0 = block`, the core tile) -- with the
+///    sequential classical tile loops, the local time loop with its
+///    barrier, the forall-threads point enumeration, domain guards,
+///    statement dispatch and the bit-exact update arithmetic;
+///  * the `<prog>_host(<field buffers>)` driver: the sequential time-tile
+///    (or band) loop with per-phase tile-range guards, per-launch S0
+///    window computation and one launch per kernel.
+void emitUnit(Source &Out, const EmissionPlan &Plan,
+              const EmitTargetHooks &Hooks);
 
 } // namespace codegen
 } // namespace hextile

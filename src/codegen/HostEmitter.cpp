@@ -344,6 +344,20 @@ namespace {
 
 EmitTargetHooks hostHooks() {
   EmitTargetHooks H;
+  H.openKernel = [](Source &Out, const std::string &Name,
+                    const std::string &Params) {
+    Out.open("__global__ void " + Name + "(ht_int ht_block, " + Params +
+             ")");
+  };
+  H.BlockIndex = "ht_block";
+  H.SingleBlockLine =
+      "(void)ht_block; // Classical bands launch a single block.";
+  H.ScratchQualifier = "static";
+  H.DriverQualifier = "static void";
+  H.launch = [](const std::string &Name, const std::string &NumBlocks,
+                const std::string &Args) {
+    return "HT_LAUNCH_1D(" + Name + ", " + NumBlocks + ", " + Args + ");";
+  };
   H.openThreadLoop = [](Source &Out, const std::string &Tid,
                         const std::string &Count) {
     Out.open("HT_FOR_THREADS(" + Tid + ", " + Count + ")");
@@ -367,30 +381,11 @@ EmitTargetHooks hostHooks() {
   return H;
 }
 
-void emitHostKernel(Source &Out, const EmissionPlan &Plan,
-                    const std::string &Suffix, int Phase,
-                    const EmitTargetHooks &Hooks) {
-  std::string TailParams =
-      Plan.TwoPhase ? "ht_int TT, ht_int S0lo" : "ht_int TB";
-  Out.open("__global__ void " + kernelName(Plan, Suffix) +
-           "(ht_int ht_block, " + Plan.fieldParams() + ", " + TailParams +
-           ")");
-  if (Plan.TwoPhase)
-    Out.line("const ht_int S0 = S0lo + ht_block;");
-  else if (Plan.Schedule == EmitSchedule::Overlapped)
-    Out.line("const ht_int S0 = ht_block; // This block's core tile.");
-  else
-    Out.line("(void)ht_block; // Classical bands launch a single block.");
-  emitKernelBody(Out, Plan, Phase, Hooks);
-  Out.close();
-}
-
 } // namespace
 
 std::string codegen::emitHost(const CompiledHybrid &C, EmitSchedule S) {
   EmissionPlan Plan = EmissionPlan::build(C, S);
   const ir::StencilProgram &P = *Plan.Program;
-  EmitTargetHooks Hooks = hostHooks();
 
   Source Out;
   Out.line("// " + P.name() + ": " + std::string(emitScheduleName(S)) +
@@ -428,39 +423,7 @@ std::string codegen::emitHost(const CompiledHybrid &C, EmitSchedule S) {
   }
   Out.line("#include \"cuda_shim.h\"");
   Out.blank();
-  emitPlanTables(Out, Plan);
-  if (S == EmitSchedule::Overlapped) {
-    Out.blank();
-    emitOverlappedScratch(Out, Plan, "static");
-  }
-  Out.blank();
-
-  if (Plan.TwoPhase) {
-    emitHostKernel(Out, Plan, "phase0", 0, Hooks);
-    Out.blank();
-    emitHostKernel(Out, Plan, "phase1", 1, Hooks);
-  } else if (S == EmitSchedule::Overlapped) {
-    emitHostKernel(Out, Plan, "oband", 0, Hooks);
-    Out.blank();
-    emitHostKernel(Out, Plan, "ocopy", 1, Hooks);
-  } else {
-    emitHostKernel(Out, Plan, "band", 0, Hooks);
-  }
-  Out.blank();
-
-  // Host driver: the sequential time-tile (band) loop of Sec. 4.1.
-  Out.open("static void " + P.name() + "_host(" + Plan.fieldParams() + ")");
-  emitHostDriver(Out, Plan,
-                 [&](Source &O, const std::string &Suffix,
-                     const std::string &NumBlocks,
-                     const std::vector<std::string> &Extra) {
-                   std::string Args = Plan.fieldArgs();
-                   for (const std::string &E : Extra)
-                     Args += ", " + E;
-                   O.line("HT_LAUNCH_1D(" + kernelName(Plan, Suffix) +
-                          ", " + NumBlocks + ", " + Args + ");");
-                 });
-  Out.close();
+  emitUnit(Out, Plan, hostHooks());
   Out.blank();
 
   // The ABI the JIT runner binds: one rotating buffer per field, in

@@ -91,35 +91,11 @@ double gpu::stridedBankTransactions(const DeviceConfig &Dev,
 }
 
 std::vector<int64_t> gpu::predictHaloExchangeValuesPerBoundary(
-    const ir::StencilProgram &P, std::span<const int64_t> Boundaries) {
-  // Writes happen only inside the update domain: [lo_d, size_d - hi_d) per
-  // dimension, every statement, every time step.
-  int64_t Lo0 = P.loHalo(0);
-  int64_t Hi0 = P.spaceSizes()[0] - P.hiHalo(0);
-  int64_t InnerExtent = 1;
-  for (unsigned D = 1; D < P.spaceRank(); ++D)
-    InnerExtent *=
-        P.spaceSizes()[D] - P.loHalo(D) - P.hiHalo(D);
-
-  auto Clip = [&](int64_t From, int64_t To) {
-    return std::max<int64_t>(0, std::min(To, Hi0) - std::max(From, Lo0));
-  };
-  int64_t TimeExtent = static_cast<int64_t>(P.numStmts()) * P.timeSteps();
-  std::vector<int64_t> PerBoundary;
-  PerBoundary.reserve(Boundaries.size());
-  for (int64_t B : Boundaries) {
-    // Cells the lower neighbor replicates above the cut, and the upper
-    // neighbor below it; each written once per canonical step.
-    int64_t StripCells = Clip(B, B + P.hiHalo(0)) + Clip(B - P.loHalo(0), B);
-    PerBoundary.push_back(StripCells * InnerExtent * TimeExtent);
-  }
-  return PerBoundary;
-}
-
-std::vector<int64_t> gpu::predictBandedHaloExchangeValuesPerBoundary(
     const ir::StencilProgram &P, std::span<const int64_t> Boundaries,
-    int64_t BandSteps) {
-  assert(BandSteps >= 1 && "band height must be positive");
+    int64_t CadenceSteps) {
+  assert(CadenceSteps >= 1 && "exchange cadence must be positive");
+  // Writes happen only inside the update domain: [lo_d, size_d - hi_d) per
+  // dimension.
   int64_t Lo0 = P.loHalo(0);
   int64_t Hi0 = P.spaceSizes()[0] - P.hiHalo(0);
   int64_t InnerExtent = 1;
@@ -129,21 +105,21 @@ std::vector<int64_t> gpu::predictBandedHaloExchangeValuesPerBoundary(
     return std::max<int64_t>(0, std::min(To, Hi0) - std::max(From, Lo0));
   };
 
-  // Replication strips are band-deep: what the rings mirror when the
-  // partitioned storage is provisioned for BandSteps-step cadence.
-  core::HaloExtent Halo = core::partitionHaloExtent(P, 0, BandSteps);
+  // Replication strips are cadence-deep: what the rings mirror when the
+  // partitioned storage is provisioned for a CadenceSteps-step cadence.
+  core::HaloExtent Halo = core::partitionHaloExtent(P, 0, CadenceSteps);
 
-  // Slots shipped per cell per band: the dirty set is deduplicated by
-  // (field, slot, cell), and a band of S steps rewrites min(depth, S)
+  // Slots shipped per cell per round: the dirty set is deduplicated by
+  // (field, slot, cell), and a round of S steps rewrites min(depth, S)
   // distinct rotating slots of every written field.
-  int64_t NumBands = ceilDiv(P.timeSteps(), BandSteps);
+  int64_t Rounds = ceilDiv(P.timeSteps(), CadenceSteps);
   int64_t SlotFactor = 0;
   for (unsigned F = 0; F < P.fields().size(); ++F) {
     if (P.writerOf(F) < 0)
       continue;
     int64_t Depth = P.bufferDepth(F);
-    for (int64_t Band = 0; Band < NumBands; ++Band) {
-      int64_t Live = std::min(BandSteps, P.timeSteps() - Band * BandSteps);
+    for (int64_t R = 0; R < Rounds; ++R) {
+      int64_t Live = std::min(CadenceSteps, P.timeSteps() - R * CadenceSteps);
       SlotFactor += std::min(Depth, Live);
     }
   }
@@ -151,26 +127,20 @@ std::vector<int64_t> gpu::predictBandedHaloExchangeValuesPerBoundary(
   std::vector<int64_t> PerBoundary;
   PerBoundary.reserve(Boundaries.size());
   for (int64_t B : Boundaries) {
+    // Cells the lower neighbor replicates above the cut, and the upper
+    // neighbor below it.
     int64_t StripCells = Clip(B, B + Halo.Hi) + Clip(B - Halo.Lo, B);
     PerBoundary.push_back(StripCells * InnerExtent * SlotFactor);
   }
   return PerBoundary;
 }
 
-int64_t gpu::predictBandedHaloExchangeValues(
-    const ir::StencilProgram &P, std::span<const int64_t> Boundaries,
-    int64_t BandSteps) {
+int64_t gpu::predictHaloExchangeValues(const ir::StencilProgram &P,
+                                       std::span<const int64_t> Boundaries,
+                                       int64_t CadenceSteps) {
   int64_t Total = 0;
   for (int64_t V :
-       predictBandedHaloExchangeValuesPerBoundary(P, Boundaries, BandSteps))
-    Total += V;
-  return Total;
-}
-
-int64_t gpu::predictHaloExchangeValues(const ir::StencilProgram &P,
-                                       std::span<const int64_t> Boundaries) {
-  int64_t Total = 0;
-  for (int64_t V : predictHaloExchangeValuesPerBoundary(P, Boundaries))
+       predictHaloExchangeValuesPerBoundary(P, Boundaries, CadenceSteps))
     Total += V;
   return Total;
 }

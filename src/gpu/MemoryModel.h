@@ -80,16 +80,21 @@ double stridedBankTransactions(const DeviceConfig &Dev, int64_t StrideWords);
 /// Analytic halo-exchange traffic of an owner-computes slab decomposition
 /// of \p P along spatial dimension 0 with the interior slab boundaries at
 /// \p Boundaries (the Lo coordinate of every slab but the first), when
-/// every boundary write is exchanged exactly once (the one-step cadence of
-/// exec::DeviceSimBackend). Per canonical time step each boundary moves
-/// the writes landing in the strips its neighbors replicate -- hiHalo(0)
-/// cells above the cut and loHalo(0) below, clipped to the update domain
-/// -- times the update extent of every inner dimension. Legal schedules
-/// write each instance once, so the count is schedule-independent: the
-/// measured ReplayStats::HaloValuesExchanged of any bit-exact replay must
-/// equal it exactly.
+/// halos are exchanged every \p CadenceSteps canonical time steps over
+/// strips that deep (core::partitionHaloExtent at Steps = CadenceSteps):
+/// 1 is exec::DeviceSimBackend's per-wavefront exchange, whose strips are
+/// hiHalo(0) cells above the cut and loHalo(0) below; the overlapped
+/// family's banded replay exchanges at its band height. Per round of S
+/// live steps each boundary moves min(bufferDepth, S) rotating slots of
+/// every written field over its strips, clipped to the update domain,
+/// times the update extent of every inner dimension -- the dirty-cell
+/// deduplication of exec::PartitionedGridStorage. Legal schedules write
+/// each instance once, so the count is schedule-independent: the measured
+/// ReplayStats::HaloValuesExchanged of any bit-exact replay at that
+/// cadence must equal it exactly.
 int64_t predictHaloExchangeValues(const ir::StencilProgram &P,
-                                  std::span<const int64_t> Boundaries);
+                                  std::span<const int64_t> Boundaries,
+                                  int64_t CadenceSteps = 1);
 
 /// The same count split per boundary: entry i is the traffic crossing
 /// Boundaries[i] (both directions), i.e. the load of chain link i. The
@@ -97,29 +102,12 @@ int64_t predictHaloExchangeValues(const ir::StencilProgram &P,
 /// links make total bytes an insufficient statistic for exchange time.
 std::vector<int64_t>
 predictHaloExchangeValuesPerBoundary(const ir::StencilProgram &P,
-                                     std::span<const int64_t> Boundaries);
+                                     std::span<const int64_t> Boundaries,
+                                     int64_t CadenceSteps = 1);
 
 /// predictHaloExchangeValues in bytes (single-precision fields).
 int64_t predictHaloExchangeBytes(const ir::StencilProgram &P,
                                  std::span<const int64_t> Boundaries);
-
-/// Analytic halo traffic of the *banded* exchange cadence: halos are
-/// exchanged once per time band of \p BandSteps canonical steps over
-/// band-deep replication strips (core::partitionHaloExtent at Steps =
-/// BandSteps). Per boundary, per band of S live steps, each written field
-/// contributes min(bufferDepth, S) rotating slots of the band-deep strips
-/// clipped to the update domain -- the exact count the dirty-cell
-/// deduplication of exec::PartitionedGridStorage's banded mode ships, so
-/// a banded DeviceSim replay's measured HaloValuesExchanged must equal it.
-std::vector<int64_t>
-predictBandedHaloExchangeValuesPerBoundary(const ir::StencilProgram &P,
-                                           std::span<const int64_t> Boundaries,
-                                           int64_t BandSteps);
-
-/// Total of predictBandedHaloExchangeValuesPerBoundary over all boundaries.
-int64_t predictBandedHaloExchangeValues(const ir::StencilProgram &P,
-                                        std::span<const int64_t> Boundaries,
-                                        int64_t BandSteps);
 
 } // namespace gpu
 } // namespace hextile

@@ -5,7 +5,6 @@
 #include "support/MathExt.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace hextile;
 using namespace hextile::gpu;
@@ -118,9 +117,10 @@ HaloExchangeCost
 gpu::predictHaloExchangeCost(const ir::StencilProgram &P,
                              const DeviceTopology &Topo,
                              std::span<const int64_t> Boundaries,
-                             int64_t ExchangeRounds) {
+                             int64_t ExchangeRounds, int64_t CadenceSteps) {
   HaloExchangeCost Cost;
-  Cost.PerLinkValues = predictHaloExchangeValuesPerBoundary(P, Boundaries);
+  Cost.PerLinkValues =
+      predictHaloExchangeValuesPerBoundary(P, Boundaries, CadenceSteps);
   Cost.PerLinkSeconds.reserve(Cost.PerLinkValues.size());
   for (size_t E = 0; E < Cost.PerLinkValues.size(); ++E) {
     LinkSpec Link = Topo.link(static_cast<unsigned>(E));
@@ -144,25 +144,6 @@ gpu::predictBandedHaloExchangeCost(const ir::StencilProgram &P,
                                    const DeviceTopology &Topo,
                                    std::span<const int64_t> Boundaries,
                                    int64_t BandSteps) {
-  assert(BandSteps >= 1 && "band height must be positive");
-  int64_t Rounds = ceilDiv(P.timeSteps(), BandSteps);
-  HaloExchangeCost Cost;
-  Cost.PerLinkValues =
-      predictBandedHaloExchangeValuesPerBoundary(P, Boundaries, BandSteps);
-  Cost.PerLinkSeconds.reserve(Cost.PerLinkValues.size());
-  for (size_t E = 0; E < Cost.PerLinkValues.size(); ++E) {
-    LinkSpec Link = Topo.link(static_cast<unsigned>(E));
-    int64_t Bytes =
-        Cost.PerLinkValues[E] * static_cast<int64_t>(sizeof(float));
-    // Same closed form as the measured-traffic accounting (see
-    // predictHaloExchangeCost): exact-equality cross-checks need it.
-    double Seconds = Link.seconds(Rounds, Bytes);
-    Cost.PerLinkSeconds.push_back(Seconds);
-    Cost.Seconds += Seconds;
-    Cost.LatencySeconds +=
-        static_cast<double>(Rounds) * (Link.LatencyUs * 1e-6);
-    Cost.TransferSeconds +=
-        static_cast<double>(Bytes) / (Link.BandwidthGBps * 1e9);
-  }
-  return Cost;
+  return predictHaloExchangeCost(P, Topo, Boundaries,
+                                 ceilDiv(P.timeSteps(), BandSteps), BandSteps);
 }

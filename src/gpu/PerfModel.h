@@ -110,27 +110,28 @@ struct HaloExchangeCost {
 
 /// Costs \p ExchangeRounds halo-exchange rounds of \p P partitioned over
 /// \p Topo at the interior slab cuts \p Boundaries (Boundaries.size()
-/// links; Topo.link(e) prices edge e). Latency is charged per round per
-/// link -- the cadence term the wavefront count fixes -- and the transfer
-/// term prices the analytic byte count. Computed with LinkSpec::seconds,
-/// the same closed form the DeviceSim backend applies to *measured*
-/// traffic, so for schedules whose byte counts match the model exactly
-/// (classical; in practice all) prediction equals measurement bit for bit
-/// when fed the measured round count.
+/// links; Topo.link(e) prices edge e), exchanging every \p CadenceSteps
+/// canonical steps. Latency is charged per round per link -- the cadence
+/// term the wavefront count fixes -- and the transfer term prices the
+/// analytic byte count (predictHaloExchangeValuesPerBoundary at the same
+/// cadence). Computed with LinkSpec::seconds, the same closed form the
+/// DeviceSim backend applies to *measured* traffic, so for schedules
+/// whose byte counts match the model exactly (classical; in practice all)
+/// prediction equals measurement bit for bit when fed the measured round
+/// count.
 HaloExchangeCost predictHaloExchangeCost(const ir::StencilProgram &P,
                                          const DeviceTopology &Topo,
                                          std::span<const int64_t> Boundaries,
-                                         int64_t ExchangeRounds);
+                                         int64_t ExchangeRounds,
+                                         int64_t CadenceSteps = 1);
 
-/// Costs the *banded* exchange cadence (one exchange per time band of
-/// \p BandSteps steps, core::OverlappedSchedule's device-level replay):
-/// ceil(timeSteps / BandSteps) rounds per link charge the alpha term, and
-/// the transfer term prices predictBandedHaloExchangeValuesPerBoundary's
-/// band-deep deduplicated strips. Comparing against predictHaloExchangeCost
-/// at the per-wavefront round count exposes the redundancy-vs-traffic
-/// frontier: banding divides the latency rounds by the band height while
-/// multiplying strip depth, so latency-dominated links favor deep bands and
-/// bandwidth-dominated links shallow ones.
+/// predictHaloExchangeCost at the *banded* cadence of
+/// core::OverlappedSchedule's device-level replay: one exchange per time
+/// band of \p BandSteps steps, ceil(timeSteps / BandSteps) rounds.
+/// Comparing against the per-wavefront round count at cadence 1 exposes
+/// the redundancy-vs-traffic frontier: banding divides the latency rounds
+/// by the band height while multiplying strip depth, so latency-dominated
+/// links favor deep bands and bandwidth-dominated links shallow ones.
 HaloExchangeCost
 predictBandedHaloExchangeCost(const ir::StencilProgram &P,
                               const DeviceTopology &Topo,

@@ -2,10 +2,13 @@
 
 #include "tune/TuningTable.h"
 
+#include "support/Json.h"
+
 #include <cctype>
-#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 using namespace hextile;
 using namespace hextile::tune;
@@ -33,7 +36,7 @@ std::optional<codegen::EmitSchedule>
 tune::emitScheduleByName(const std::string &Name) {
   for (codegen::EmitSchedule S :
        {codegen::EmitSchedule::Hex, codegen::EmitSchedule::Hybrid,
-        codegen::EmitSchedule::Classical})
+        codegen::EmitSchedule::Classical, codegen::EmitSchedule::Overlapped})
     if (Name == codegen::emitScheduleName(S))
       return S;
   return std::nullopt;
@@ -57,26 +60,30 @@ const TunedEntry *TuningTable::lookup(const std::string &Program) const {
 
 namespace {
 
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
+/// Appends code point \p CP to \p Out as UTF-8.
+void appendUtf8(std::string &Out, uint32_t CP) {
+  if (CP < 0x80) {
+    Out += static_cast<char>(CP);
+  } else if (CP < 0x800) {
+    Out += static_cast<char>(0xC0 | (CP >> 6));
+    Out += static_cast<char>(0x80 | (CP & 0x3F));
+  } else if (CP < 0x10000) {
+    Out += static_cast<char>(0xE0 | (CP >> 12));
+    Out += static_cast<char>(0x80 | ((CP >> 6) & 0x3F));
+    Out += static_cast<char>(0x80 | (CP & 0x3F));
+  } else {
+    Out += static_cast<char>(0xF0 | (CP >> 18));
+    Out += static_cast<char>(0x80 | ((CP >> 12) & 0x3F));
+    Out += static_cast<char>(0x80 | ((CP >> 6) & 0x3F));
+    Out += static_cast<char>(0x80 | (CP & 0x3F));
   }
-  return Out;
-}
-
-std::string numStr(double V) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.10g", V);
-  return Buf;
 }
 
 //===----------------------------------------------------------------------===//
-// A minimal JSON reader: just enough for the shape toJson emits. Values
-// are doubles, strings, arrays of values, or objects; parse errors carry
-// the byte offset.
+// A small standard JSON reader. Values are doubles, strings (every RFC 8259
+// escape decoded, \uXXXX as UTF-8), arrays of values, or objects;
+// true/false/null are read as Null, since no table field is a boolean.
+// Parse errors carry the byte offset.
 //===----------------------------------------------------------------------===//
 
 struct JsonValue {
@@ -142,6 +149,11 @@ private:
       return array();
     if (C == '{')
       return object();
+    for (const char *Word : {"true", "false", "null"})
+      if (S.compare(Pos, std::strlen(Word), Word) == 0) {
+        Pos += std::strlen(Word);
+        return JsonValue();
+      }
     if (C == '-' || std::isdigit(static_cast<unsigned char>(C)))
       return number();
     return fail(std::string("unexpected character '") + C + "'");
@@ -152,14 +164,52 @@ private:
     JsonValue V;
     V.K = JsonValue::Str;
     while (Pos < S.size() && S[Pos] != '"') {
-      if (S[Pos] == '\\' && Pos + 1 < S.size())
-        ++Pos;
-      V.String += S[Pos++];
+      char C = S[Pos++];
+      if (C != '\\' || Pos >= S.size()) {
+        V.String += C;
+        continue;
+      }
+      // Escapes: \b \f \n \r \t, \uXXXX; '"', '\\' and '/' stand for
+      // themselves.
+      char E = S[Pos++];
+      if (size_t I = std::string_view("bfnrt").find(E);
+          I != std::string::npos) {
+        V.String += "\b\f\n\r\t"[I];
+        continue;
+      }
+      if (E != 'u') {
+        V.String += E;
+        continue;
+      }
+      std::optional<uint32_t> CP = hex4();
+      if (!CP)
+        return fail("malformed \\u escape");
+      // A UTF-16 surrogate pair encodes one code point beyond the BMP.
+      if (*CP >= 0xD800 && *CP < 0xDC00 && S.compare(Pos, 2, "\\u") == 0) {
+        Pos += 2;
+        std::optional<uint32_t> Low = hex4();
+        if (!Low || *Low < 0xDC00 || *Low >= 0xE000)
+          return fail("malformed surrogate pair");
+        CP = 0x10000 + ((*CP - 0xD800) << 10) + (*Low - 0xDC00);
+      }
+      appendUtf8(V.String, *CP);
     }
     if (Pos >= S.size())
       return fail("unterminated string");
     ++Pos; // closing quote
     return V;
+  }
+
+  /// Reads the four hex digits of a \uXXXX escape.
+  std::optional<uint32_t> hex4() {
+    if (Pos + 4 > S.size())
+      return std::nullopt;
+    std::string Digits = S.substr(Pos, 4);
+    for (char C : Digits)
+      if (!std::isxdigit(static_cast<unsigned char>(C)))
+        return std::nullopt;
+    Pos += 4;
+    return static_cast<uint32_t>(std::stoul(Digits, nullptr, 16));
   }
 
   std::optional<JsonValue> number() {
@@ -280,7 +330,7 @@ bool entryFromJson(const JsonValue &V, TunedEntry &E, std::string *Err) {
   if (const JsonValue *Flavor = V.field("flavor")) {
     if (Flavor->K != JsonValue::Str ||
         !emitScheduleByName(Flavor->String))
-      return Fail("\"flavor\" must be hex/hybrid/classical");
+      return Fail("\"flavor\" must be hex/hybrid/classical/overlapped");
     E.Flavor = Flavor->String;
   }
   return true;
@@ -289,27 +339,27 @@ bool entryFromJson(const JsonValue &V, TunedEntry &E, std::string *Err) {
 } // namespace
 
 std::string TuningTable::toJson() const {
-  std::ostringstream Out;
-  Out << "{\n  \"device\": \"" << jsonEscape(Dev) << "\",\n"
-      << "  \"entries\": [\n";
+  JsonRow Device;
+  Device.str("device", Dev);
+  std::string Out = "{\n  " + Device.rendered() + ",\n  \"entries\": [\n";
   for (size_t I = 0; I < Entries.size(); ++I) {
     const TunedEntry &E = Entries[I];
-    Out << "    {\"program\": \"" << jsonEscape(E.Program) << "\", "
-        << "\"h\": " << E.H << ", \"w0\": " << E.W0
-        << ", \"inner_widths\": [";
-    for (size_t W = 0; W < E.InnerWidths.size(); ++W)
-      Out << (W ? ", " : "") << E.InnerWidths[W];
-    Out << "], \"rung\": \"" << E.Rung << "\", \"flavor\": \""
-        << jsonEscape(E.Flavor)
-        << "\", \"shim_threads\": " << E.ShimThreads
-        << ", \"measured_gstencils\": " << numStr(E.MeasuredGStencils)
-        << ", \"analytic_gstencils\": " << numStr(E.AnalyticGStencils)
-        << ", \"model_load_to_compute\": " << numStr(E.ModelLoadToCompute)
-        << ", \"gap_pct\": " << numStr(E.GapPct) << "}"
-        << (I + 1 < Entries.size() ? "," : "") << "\n";
+    JsonRow Row;
+    Row.str("program", E.Program)
+        .num("h", E.H)
+        .num("w0", E.W0)
+        .nums("inner_widths", E.InnerWidths)
+        .str("rung", std::string(1, E.Rung))
+        .str("flavor", E.Flavor)
+        .num("shim_threads", static_cast<int64_t>(E.ShimThreads))
+        .num("measured_gstencils", E.MeasuredGStencils)
+        .num("analytic_gstencils", E.AnalyticGStencils)
+        .num("model_load_to_compute", E.ModelLoadToCompute)
+        .num("gap_pct", E.GapPct);
+    Out += "    {" + Row.rendered() + "}" +
+           (I + 1 < Entries.size() ? "," : "") + "\n";
   }
-  Out << "  ]\n}\n";
-  return Out.str();
+  return Out + "  ]\n}\n";
 }
 
 std::optional<TuningTable> TuningTable::fromJson(const std::string &Json,

@@ -14,9 +14,9 @@
 /// once, `TuningTable::fromJson` + `codegen::compileHybridTuned` forever
 /// after.
 ///
-/// The JSON parser is deliberately minimal (objects, arrays, strings,
-/// numbers -- exactly what toJson emits); the repo bakes in no JSON
-/// dependency.
+/// toJson renders its rows with the library's one JSON writer
+/// (support/Json.h); fromJson reads standard JSON with a small in-file
+/// reader. The repo bakes in no JSON dependency.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,7 +62,7 @@ struct TunedEntry {
 };
 
 /// Parses an emitScheduleName rendering back ("hex", "hybrid",
-/// "classical"); nullopt for anything else.
+/// "classical", "overlapped"); nullopt for anything else.
 std::optional<codegen::EmitSchedule>
 emitScheduleByName(const std::string &Name);
 

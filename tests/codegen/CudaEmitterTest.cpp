@@ -1,10 +1,13 @@
 //===- CudaEmitterTest.cpp - CUDA rendering tests ------------------------------===//
 
 #include "codegen/CudaEmitter.h"
+#include "codegen/HostEmitter.h"
 #include "codegen/HybridCompiler.h"
 #include "ir/StencilGallery.h"
 
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 using namespace hextile;
 using namespace hextile::codegen;
@@ -19,6 +22,43 @@ CompiledHybrid compile(const ir::StencilProgram &P, int64_t H, int64_t W0,
   R.W0 = W0;
   R.InnerWidths = std::move(Inner);
   return compileHybrid(P, R, Config);
+}
+
+/// The kernels \p Src defines, in definition order.
+std::vector<std::string> definedKernels(const std::string &Src) {
+  const std::string Def = "__global__ void ";
+  std::vector<std::string> Names;
+  for (size_t At = Src.find(Def); At != std::string::npos;
+       At = Src.find(Def, At + 1)) {
+    size_t Begin = At + Def.size();
+    Names.push_back(Src.substr(Begin, Src.find('(', Begin) - Begin));
+  }
+  return Names;
+}
+
+/// The kernels the `<Prog>_host` driver of \p Src launches, in launch
+/// order: `HT_LAUNCH_1D(name, ...)` on the host, `name<<<...>>>` in CUDA.
+std::vector<std::string> launchedKernels(const std::string &Src,
+                                         const std::string &Prog) {
+  size_t Driver = Src.find("void " + Prog + "_host(");
+  if (Driver == std::string::npos)
+    return {};
+  std::istringstream Body(
+      Src.substr(Driver, Src.find("\n}\n", Driver) - Driver));
+  const std::string HostLaunch = "HT_LAUNCH_1D(";
+  std::vector<std::string> Names;
+  for (std::string L; std::getline(Body, L);) {
+    size_t Begin = L.find_first_not_of(' ');
+    if (Begin == std::string::npos)
+      continue;
+    if (L.compare(Begin, HostLaunch.size(), HostLaunch) == 0) {
+      Begin += HostLaunch.size();
+      Names.push_back(L.substr(Begin, L.find(',', Begin) - Begin));
+    } else if (size_t End = L.find("<<<"); End != std::string::npos) {
+      Names.push_back(L.substr(Begin, End - Begin));
+    }
+  }
+  return Names;
 }
 
 } // namespace
@@ -162,4 +202,33 @@ TEST(CudaEmitterTest, ConstantsAreExactHexFloats) {
   std::string Src = emitCuda(C);
   EXPECT_NE(Src.find("0x1.99999ap-3f"), std::string::npos);
   EXPECT_EQ(Src.find("0.200000"), std::string::npos);
+}
+
+TEST(CudaEmitterTest, EveryFlavorLaunchesItsKernelsAndOverlappedUsesScratch) {
+  // Both targets take the kernel set and the driver from EmissionCore:
+  // for every flavor, `<prog>_host` launches each kernel the unit defines,
+  // in the order the unit defines them. At this tiling the staging windows
+  // exceed the 48 KiB __shared__ budget (53,352 bytes per overlapped
+  // block), so the hex flavor is flagged.
+  CompiledHybrid C = compile(ir::makeJacobi2D(512, 16), 2, 5, {32});
+  for (EmitSchedule S : {EmitSchedule::Hex, EmitSchedule::Hybrid,
+                         EmitSchedule::Classical, EmitSchedule::Overlapped})
+    for (bool Cuda : {true, false}) {
+      std::string Src = Cuda ? emitCuda(C, S) : emitHost(C, S);
+      std::vector<std::string> Defined = definedKernels(Src);
+      EXPECT_FALSE(Defined.empty());
+      EXPECT_EQ(launchedKernels(Src, "jacobi2d"), Defined)
+          << emitScheduleName(S) << (Cuda ? " cuda" : " host");
+    }
+  EXPECT_NE(emitCuda(C, EmitSchedule::Hex).find("// WARNING"),
+            std::string::npos);
+  // The overlapped windows live across the oband -> ocopy launch
+  // boundary: per-tile __device__ scratch sliced by the block index,
+  // never __shared__, so the __shared__ budget does not apply.
+  std::string Over = emitCuda(C, EmitSchedule::Overlapped);
+  EXPECT_NE(Over.find("static __device__ float ht_sg_A["), std::string::npos);
+  EXPECT_NE(Over.find("const ht_int S0 = (ht_int)blockIdx.x;"),
+            std::string::npos);
+  EXPECT_EQ(Over.find("__shared__"), std::string::npos);
+  EXPECT_EQ(Over.find("WARNING"), std::string::npos);
 }

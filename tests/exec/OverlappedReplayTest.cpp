@@ -135,7 +135,7 @@ TEST(OverlappedReplayTest, MeasuredBandedTrafficMatchesPrediction) {
 
       runOverlapped(P, S, *Storage, Opts);
       int64_t Predicted =
-          gpu::predictBandedHaloExchangeValues(P, Boundaries, Band);
+          gpu::predictHaloExchangeValues(P, Boundaries, /*CadenceSteps=*/Band);
       EXPECT_EQ(static_cast<int64_t>(Stats.HaloValuesExchanged), Predicted)
           << P.name() << " band " << Band;
     }

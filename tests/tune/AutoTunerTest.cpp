@@ -195,25 +195,51 @@ TEST(AutoTunerTest, TuningTableJsonRoundTrips) {
   Second.Flavor = "hex";
   Second.MeasuredGStencils = 0.5;
   Table.put(Second);
+  // Every flavor the tuner can pick must survive the round trip.
+  TunedEntry Third = Second;
+  Third.Program = "heat3d";
+  Third.InnerWidths = {4, 32};
+  Third.Flavor = "overlapped";
+  Table.put(Third);
 
   std::string Json = Table.toJson();
   std::string Err;
   std::optional<TuningTable> Back = TuningTable::fromJson(Json, &Err);
   ASSERT_TRUE(Back.has_value()) << Err;
   EXPECT_EQ(Back->device(), "gtx470");
-  ASSERT_EQ(Back->size(), 2u);
+  ASSERT_EQ(Back->size(), 3u);
   ASSERT_NE(Back->lookup("heat2d"), nullptr);
   EXPECT_TRUE(*Back->lookup("heat2d") == sampleEntry());
   ASSERT_NE(Back->lookup("jacobi1d"), nullptr);
   EXPECT_TRUE(*Back->lookup("jacobi1d") == Second);
+  ASSERT_NE(Back->lookup("heat3d"), nullptr);
+  EXPECT_TRUE(*Back->lookup("heat3d") == Third);
   EXPECT_EQ(Back->lookup("nosuch"), nullptr);
 
   // put() replaces by program name instead of duplicating rows.
   TunedEntry Updated = sampleEntry();
   Updated.MeasuredGStencils = 9.0;
   Back->put(Updated);
-  EXPECT_EQ(Back->size(), 2u);
+  EXPECT_EQ(Back->size(), 3u);
   EXPECT_EQ(Back->lookup("heat2d")->MeasuredGStencils, 9.0);
+
+  // Standard JSON out and in: control characters are escaped on write (a
+  // raw tab would make the table invalid JSON), every escape is decoded
+  // on read (\uXXXX and surrogate pairs as UTF-8), and unknown fields of
+  // any JSON type are ignored.
+  std::string Tabbed = TuningTable("gtx\t470").toJson();
+  EXPECT_EQ(Tabbed.find('\t'), std::string::npos) << Tabbed;
+  std::optional<TuningTable> TabBack = TuningTable::fromJson(Tabbed, &Err);
+  ASSERT_TRUE(TabBack.has_value()) << Err;
+  EXPECT_EQ(TabBack->device(), "gtx\t470");
+  std::optional<TuningTable> Escaped = TuningTable::fromJson(
+      R"({"device": "gtx\u00e9\n\ud83d\ude00", "entries": []})", &Err);
+  ASSERT_TRUE(Escaped.has_value()) << Err;
+  EXPECT_EQ(Escaped->device(), "gtx\xc3\xa9\n\xf0\x9f\x98\x80");
+  std::optional<TuningTable> Flagged = TuningTable::fromJson(
+      R"({"device": "x", "entries": [], "calibrated": true})", &Err);
+  ASSERT_TRUE(Flagged.has_value()) << Err;
+  EXPECT_EQ(Flagged->device(), "x");
 }
 
 TEST(AutoTunerTest, TuningTableRejectsMalformedJson) {
@@ -249,7 +275,7 @@ TEST(AutoTunerTest, TunedSizesRealizeRungAndShim) {
 
   for (codegen::EmitSchedule S :
        {codegen::EmitSchedule::Hex, codegen::EmitSchedule::Hybrid,
-        codegen::EmitSchedule::Classical})
+        codegen::EmitSchedule::Classical, codegen::EmitSchedule::Overlapped})
     EXPECT_EQ(emitScheduleByName(codegen::emitScheduleName(S)), S);
   EXPECT_FALSE(emitScheduleByName("cuda").has_value());
 }
