@@ -14,8 +14,11 @@
 // resident, so Table-3-scale grids (--size 4096 --steps 512) replay in a
 // bounded buffer. The halo-bytes column is the point of the partitioned
 // replay: inter-device traffic is materialized and counted, not assumed.
-// --smoke shrinks everything for the ctest -L bench entry; --json mirrors
-// the table into the repo's machine-readable BENCH_*.json trajectory.
+// --smoke shrinks everything for the ctest -L bench entry and gates two
+// regressions on best-of-5 times: pooled classical replay losing to serial,
+// and serial hex or hybrid replay exceeding 2.5x serial classical + 2 ms.
+// --json mirrors the table into the repo's machine-readable BENCH_*.json
+// trajectory; its serial rows carry serial_over_classical.
 //
 //   bench_exec_backends [--smoke] [--size N] [--steps N] [--threads N]
 //                       [--devices N] [--json <path>]
@@ -34,6 +37,8 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 using namespace hextile;
 
@@ -96,6 +101,11 @@ int main(int argc, char **argv) {
               "backend", "Minst/s", "seconds", "bands", "peak-buffer",
               "wavefronts", "halo-bytes");
 
+  // Rows are reported after the loop: each serial row carries its time
+  // over classical's serial time, and classical runs after hex and hybrid.
+  std::vector<bench::JsonRow> Rows;
+  std::vector<std::pair<size_t, double>> SerialSecs; // (row, seconds)
+  double ClassicalSerialSecs = 0;
   for (harness::ScheduleKind K : harness::allScheduleKinds()) {
     harness::OracleSchedule S = harness::makeOracleSchedule(P, K, T);
     if (!S.Key) {
@@ -121,8 +131,12 @@ int main(int argc, char **argv) {
       auto T1 = std::chrono::steady_clock::now();
       double Secs = seconds(T0, T1);
       double Rate = Secs > 0 ? Stats.Instances / Secs / 1e6 : 0;
-      if (B == exec::BackendKind::Serial)
+      if (B == exec::BackendKind::Serial) {
         SerialRate = Rate;
+        SerialSecs.emplace_back(Rows.size(), Secs);
+        if (K == harness::ScheduleKind::Classical)
+          ClassicalSerialSecs = Secs;
+      }
       std::printf("%-10s %-10s %10.2f %9.3f %8zu %12zu %12zu %12zu\n",
                   harness::scheduleKindName(K), exec::backendKindName(B),
                   Rate, Secs, Stats.Bands, Stats.PeakBandInstances,
@@ -158,49 +172,58 @@ int main(int argc, char **argv) {
             .num("halo_values", Stats.HaloValuesExchanged)
             .num("halo_bytes", Stats.HaloBytesExchanged);
       }
-      Report.add(Row);
+      Rows.push_back(Row);
     }
   }
+  for (auto [I, Secs] : SerialSecs)
+    Rows[I].num("serial_over_classical",
+                ClassicalSerialSecs > 0 ? Secs / ClassicalSerialSecs : 0.0);
+  for (const bench::JsonRow &Row : Rows)
+    Report.add(Row);
 
   std::printf("\n(peak-buffer = max instances resident at once in the "
               "streaming generator;\n halo-bytes = boundary values copied "
               "between simulated devices, 0 for\n single-address-space "
               "backends. --size/--steps scale toward Table 3.)\n");
 
-  // Regression gate for the small-wavefront batching floor: classical
-  // tiling streams hundreds of tiny band-edge wavefronts, and before
-  // chunks were floored at MinTaskInstances the pooled replay paid a pool
-  // barrier per front and ran *slower* than serial. The smoke entry pins
-  // the fix: best-of-N pooled classical must not lose to serial beyond a
-  // conservative noise allowance. Multi-core machines only -- on a single
-  // core the pooled replay legitimately pays for its futile workers.
-  if (Smoke && std::thread::hardware_concurrency() < 2) {
-    std::printf("\nsmoke gate: skipped (single hardware thread -- pooled "
-                "vs serial is not meaningful here)\n");
-  } else if (Smoke) {
-    harness::OracleSchedule S = harness::makeOracleSchedule(
+  if (Smoke) {
+    // Best-of-5 wall time of one family's replay on one backend.
+    auto bestOf = [&](const harness::OracleSchedule &S, exec::BackendKind B) {
+      double Best = 0;
+      for (int R = 0; R < 5; ++R) {
+        exec::ScheduleRunOptions Opts;
+        Opts.Backend = B;
+        Opts.NumThreads = Threads;
+        Opts.ParallelFrom = S.ParallelFrom;
+        std::unique_ptr<exec::FieldStorage> Storage =
+            exec::makeStorage(P, Opts);
+        auto T0 = std::chrono::steady_clock::now();
+        exec::runSchedule(P, *Storage, Domain, S.Key, Opts);
+        auto T1 = std::chrono::steady_clock::now();
+        double Secs = seconds(T0, T1);
+        if (R == 0 || Secs < Best)
+          Best = Secs;
+      }
+      return Best;
+    };
+    bool Failed = false;
+    harness::OracleSchedule Classical = harness::makeOracleSchedule(
         P, harness::ScheduleKind::Classical, T);
-    if (S.Key) {
-      auto bestOf = [&](exec::BackendKind B) {
-        double Best = 0;
-        for (int R = 0; R < 5; ++R) {
-          exec::ScheduleRunOptions Opts;
-          Opts.Backend = B;
-          Opts.NumThreads = Threads;
-          Opts.ParallelFrom = S.ParallelFrom;
-          std::unique_ptr<exec::FieldStorage> Storage =
-              exec::makeStorage(P, Opts);
-          auto T0 = std::chrono::steady_clock::now();
-          exec::runSchedule(P, *Storage, Domain, S.Key, Opts);
-          auto T1 = std::chrono::steady_clock::now();
-          double Secs = seconds(T0, T1);
-          if (R == 0 || Secs < Best)
-            Best = Secs;
-        }
-        return Best;
-      };
-      double SerialBest = bestOf(exec::BackendKind::Serial);
-      double PooledBest = bestOf(exec::BackendKind::ThreadPool);
+    double SerialBest = bestOf(Classical, exec::BackendKind::Serial);
+
+    // Regression gate for the small-wavefront batching floor: classical
+    // tiling streams hundreds of tiny band-edge wavefronts, and before
+    // chunks were floored at MinTaskInstances the pooled replay paid a
+    // pool barrier per front and ran *slower* than serial. The smoke entry
+    // pins the fix: best-of-N pooled classical must not lose to serial
+    // beyond a conservative noise allowance. Multi-core machines only --
+    // on a single core the pooled replay legitimately pays for its futile
+    // workers.
+    if (std::thread::hardware_concurrency() < 2) {
+      std::printf("\nsmoke gate: pooled vs serial skipped (single hardware "
+                  "thread -- not meaningful here)\n");
+    } else {
+      double PooledBest = bestOf(Classical, exec::BackendKind::ThreadPool);
       std::printf("\nsmoke gate: classical best-of-5 serial %.4fs, pooled "
                   "%.4fs\n",
                   SerialBest, PooledBest);
@@ -211,9 +234,34 @@ int main(int argc, char **argv) {
                      "error: pooled classical replay (%.4fs) lost to serial "
                      "(%.4fs) -- small-wavefront batching regressed\n",
                      PooledBest, SerialBest);
-        return 1;
+        Failed = true;
       }
     }
+
+    // Regression gate for key evaluation: hex and hybrid keys are integer
+    // arithmetic (a row-table hexagon test, cached lattice constants), so
+    // their serial replay stays within a small factor of classical's. The
+    // Rational-evaluated keys this replaced ran 6-7x slower at smoke size.
+    // Both sides run in this process, so the host's speed cancels out.
+    for (harness::ScheduleKind K :
+         {harness::ScheduleKind::Hex, harness::ScheduleKind::Hybrid}) {
+      double Best = bestOf(harness::makeOracleSchedule(P, K, T),
+                           exec::BackendKind::Serial);
+      std::printf("smoke gate: %s best-of-5 serial %.4fs = %.2fx classical "
+                  "(%.4fs)\n",
+                  harness::scheduleKindName(K), Best,
+                  SerialBest > 0 ? Best / SerialBest : 0.0, SerialBest);
+      // 2.5x plus 2ms absolute slack, as above.
+      if (Best > SerialBest * 2.5 + 2e-3) {
+        std::fprintf(stderr,
+                     "error: serial %s replay (%.4fs) exceeds 2.5x classical "
+                     "(%.4fs) + 2ms -- key evaluation regressed\n",
+                     harness::scheduleKindName(K), Best, SerialBest);
+        Failed = true;
+      }
+    }
+    if (Failed)
+      return 1;
   }
   return Report.writeTo(JsonPath) ? 0 : 1;
 }

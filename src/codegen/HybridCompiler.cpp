@@ -159,25 +159,17 @@ exec::ScheduleKeyFn CompiledHybrid::scheduleKey(uint64_t BlockPermSeed)
   // stack frame uses.
   core::HybridSchedule S = Sched;
   return [S, BlockPermSeed](std::span<const int64_t> Point) {
-    core::HybridVector V = S.map(Point);
     std::vector<int64_t> Key;
-    Key.reserve(2 + V.S.size() + 1 + V.LocalS.size());
-    Key.push_back(V.T);
-    Key.push_back(V.Phase);
-    int64_t S0 = V.S[0];
+    Key.reserve(3 + 2 * S.spaceRank());
+    S.appendKey(Point, Key);
     if (BlockPermSeed != 0) {
-      uint64_t H = static_cast<uint64_t>(S0) ^ BlockPermSeed;
+      // Slot 2 is the thread-block index S0.
+      uint64_t H = static_cast<uint64_t>(Key[2]) ^ BlockPermSeed;
       H ^= H >> 33;
       H *= 0xff51afd7ed558ccdull;
       H ^= H >> 33;
-      S0 = static_cast<int64_t>(H >> 1); // Keep non-negative.
+      Key[2] = static_cast<int64_t>(H >> 1); // Keep non-negative.
     }
-    Key.push_back(S0);
-    for (unsigned I = 1; I < V.S.size(); ++I)
-      Key.push_back(V.S[I]);
-    Key.push_back(V.LocalT);
-    for (int64_t X : V.LocalS)
-      Key.push_back(X);
     return Key;
   };
 }

@@ -7,35 +7,34 @@
 using namespace hextile;
 using namespace hextile::core;
 
-HexSchedule::HexSchedule(const HexTileParams &Params) : Geometry(Params) {}
+HexSchedule::HexSchedule(const HexTileParams &Params)
+    : Geometry(Params), TimePeriod(Params.timePeriod()),
+      SpacePeriod(Params.spacePeriod()), Drift(Params.drift()),
+      Shift0(Params.floorD0H() + Params.W0 + 1) {}
 
 HexTileCoord HexSchedule::boxCoord(int64_t T, int64_t S0, int Phase) const {
-  const HexTileParams &P = params();
-  int64_t TP = P.timePeriod();
-  int64_t SP = P.spacePeriod();
-  int64_t Drift = P.drift();
   HexTileCoord C;
   C.Phase = Phase;
   if (Phase == 0) {
     // Eq. (2): T = floor((t + h + 1) / (2h + 2)).
-    C.T = floorDiv(T + P.H + 1, TP);
-    C.A = euclidMod(T + P.H + 1, TP);
+    int64_t Shifted = T + params().H + 1;
+    C.T = floorDiv(Shifted, TimePeriod);
+    C.A = euclidMod(Shifted, TimePeriod);
     // Eq. (3) with the lattice-consistent shift (see header note):
     // S0 = floor((s0 + |_d0h_| + w0 + 1 + T*drift) / period).
-    int64_t Shift = P.floorD0H() + P.W0 + 1;
-    int64_t Num = S0 + Shift + C.T * Drift;
-    C.S0 = floorDiv(Num, SP);
-    C.B = euclidMod(Num, SP);
+    int64_t Num = S0 + Shift0 + C.T * Drift;
+    C.S0 = floorDiv(Num, SpacePeriod);
+    C.B = euclidMod(Num, SpacePeriod);
     return C;
   }
   assert(Phase == 1 && "phase must be 0 or 1");
   // Eq. (4): T = floor(t / (2h + 2)).
-  C.T = floorDiv(T, TP);
-  C.A = euclidMod(T, TP);
+  C.T = floorDiv(T, TimePeriod);
+  C.A = euclidMod(T, TimePeriod);
   // Eq. (5): S0 = floor((s0 + T*drift) / period).
   int64_t Num = S0 + C.T * Drift;
-  C.S0 = floorDiv(Num, SP);
-  C.B = euclidMod(Num, SP);
+  C.S0 = floorDiv(Num, SpacePeriod);
+  C.B = euclidMod(Num, SpacePeriod);
   return C;
 }
 
@@ -50,15 +49,14 @@ HexTileCoord HexSchedule::locate(int64_t T, int64_t S0) const {
 
 void HexSchedule::tileOrigin(int64_t TT, int Phase, int64_t SS0, int64_t &T,
                              int64_t &S0) const {
-  const HexTileParams &P = params();
   if (Phase == 0) {
-    T = TT * P.timePeriod() - P.H - 1;
-    S0 = SS0 * P.spacePeriod() - (P.floorD0H() + P.W0 + 1) - TT * P.drift();
+    T = TT * TimePeriod - params().H - 1;
+    S0 = SS0 * SpacePeriod - Shift0 - TT * Drift;
     return;
   }
   assert(Phase == 1 && "phase must be 0 or 1");
-  T = TT * P.timePeriod();
-  S0 = SS0 * P.spacePeriod() - TT * P.drift();
+  T = TT * TimePeriod;
+  S0 = SS0 * SpacePeriod - TT * Drift;
 }
 
 using poly::QExpr;

@@ -11,6 +11,12 @@
 /// ("green") uses eqs. (4)-(5). Within a time tile T, all phase-0 tiles run
 /// (in parallel over S0) before all phase-1 tiles.
 ///
+/// The lattice constants of those equations (the two periods, the drift and
+/// the phase-0 shift) are integers cached at construction, and the hexagon
+/// test is a row-table lookup, so boxCoord() and locate() are plain integer
+/// arithmetic. The expr*() forms rebuild the same equations symbolically
+/// from HexTileParams.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HEXTILE_CORE_HEXSCHEDULE_H
@@ -74,6 +80,10 @@ public:
 
 private:
   HexagonGeometry Geometry;
+  int64_t TimePeriod;  ///< 2h+2.
+  int64_t SpacePeriod; ///< 2w0 + 2 + |_d0h_| + |_d1h_|.
+  int64_t Drift;       ///< |_d1h_| - |_d0h_| per time tile.
+  int64_t Shift0;      ///< Phase-0 s0 shift |_d0h_| + w0 + 1, eq. (3).
 };
 
 } // namespace core

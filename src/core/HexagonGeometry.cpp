@@ -9,6 +9,39 @@
 using namespace hextile;
 using namespace hextile::core;
 
+namespace {
+
+/// Inclusive b-range of row \p A of \p Shape (empty rows give Lo > Hi).
+void shapeRowRange(const poly::IntegerSet &Shape, int64_t A, int64_t &Lo,
+                   int64_t &Hi) {
+  // All constraints have the form  ca*a + cb*b >= c  after normalization;
+  // specialize at the given a and intersect the b-intervals.
+  Lo = std::numeric_limits<int64_t>::min();
+  Hi = std::numeric_limits<int64_t>::max();
+  for (const poly::Constraint &C : Shape.constraints()) {
+    const poly::AffineExpr &E = C.Expr;
+    Rational Ca = E.coeff(0), Cb = E.coeff(1), K = E.constantTerm();
+    Rational Rest = Ca * Rational(A) + K;
+    assert(C.Kind == poly::ConstraintKind::GE);
+    if (Cb.isZero()) {
+      if (Rest.isNegative()) { // Row infeasible.
+        Lo = 1;
+        Hi = 0;
+        return;
+      }
+      continue;
+    }
+    // Cb*b + Rest >= 0.
+    Rational Bound = -Rest / Cb;
+    if (Cb > Rational(0))
+      Lo = std::max(Lo, Bound.ceil());
+    else
+      Hi = std::min(Hi, Bound.floor());
+  }
+}
+
+} // namespace
+
 HexagonGeometry::HexagonGeometry(const HexTileParams &Params)
     : P(Params), Shape(std::vector<std::string>{"a", "b"}) {
   assert(P.isValid() && "invalid hexagonal tile parameters");
@@ -39,70 +72,43 @@ HexagonGeometry::HexagonGeometry(const HexTileParams &Params)
       A * N0 - B * D0, K(H * N0 - D0 * (F0 + W0 + F1) - (D0 - 1))));
   // (13) a >= 0
   Shape.addConstraint(Constraint::ge(A, K(0)));
-}
 
-bool HexagonGeometry::contains(int64_t A, int64_t B) const {
-  int64_t Point[2] = {A, B};
-  return Shape.contains(Point);
+  Rows.resize(2 * H + 2);
+  for (int64_t I = 0; I <= 2 * H + 1; ++I)
+    shapeRowRange(Shape, I, Rows[I].Lo, Rows[I].Hi);
 }
 
 int64_t HexagonGeometry::pointsPerTile() const {
   int64_t N = 0;
-  for (int64_t A = 0; A <= 2 * P.H + 1; ++A) {
-    int64_t Lo, Hi;
-    rowRange(A, Lo, Hi);
-    if (Lo <= Hi)
-      N += Hi - Lo + 1;
-  }
+  for (const Row &R : Rows)
+    if (R.Lo <= R.Hi)
+      N += R.Hi - R.Lo + 1;
   return N;
 }
 
 void HexagonGeometry::rowRange(int64_t A, int64_t &Lo, int64_t &Hi) const {
-  // All constraints have the form  ca*a + cb*b >= c  after normalization;
-  // specialize at the given a and intersect the b-intervals.
-  Lo = std::numeric_limits<int64_t>::min();
-  Hi = std::numeric_limits<int64_t>::max();
-  for (const poly::Constraint &C : Shape.constraints()) {
-    const poly::AffineExpr &E = C.Expr;
-    Rational Ca = E.coeff(0), Cb = E.coeff(1), K = E.constantTerm();
-    Rational Rest = Ca * Rational(A) + K;
-    assert(C.Kind == poly::ConstraintKind::GE);
-    if (Cb.isZero()) {
-      if (Rest.isNegative()) { // Row infeasible.
-        Lo = 1;
-        Hi = 0;
-        return;
-      }
-      continue;
-    }
-    // Cb*b + Rest >= 0.
-    Rational Bound = -Rest / Cb;
-    if (Cb > Rational(0))
-      Lo = std::max(Lo, Bound.ceil());
-    else
-      Hi = std::min(Hi, Bound.floor());
+  if (A < 0 || A >= static_cast<int64_t>(Rows.size())) {
+    Lo = 1;
+    Hi = 0;
+    return;
   }
+  Lo = Rows[A].Lo;
+  Hi = Rows[A].Hi;
 }
 
 int64_t HexagonGeometry::minB() const {
   int64_t Best = std::numeric_limits<int64_t>::max();
-  for (int64_t A = 0; A <= 2 * P.H + 1; ++A) {
-    int64_t Lo, Hi;
-    rowRange(A, Lo, Hi);
-    if (Lo <= Hi)
-      Best = std::min(Best, Lo);
-  }
+  for (const Row &R : Rows)
+    if (R.Lo <= R.Hi)
+      Best = std::min(Best, R.Lo);
   return Best;
 }
 
 int64_t HexagonGeometry::maxB() const {
   int64_t Best = std::numeric_limits<int64_t>::min();
-  for (int64_t A = 0; A <= 2 * P.H + 1; ++A) {
-    int64_t Lo, Hi;
-    rowRange(A, Lo, Hi);
-    if (Lo <= Hi)
-      Best = std::max(Best, Hi);
-  }
+  for (const Row &R : Rows)
+    if (R.Lo <= R.Hi)
+      Best = std::max(Best, R.Hi);
   return Best;
 }
 

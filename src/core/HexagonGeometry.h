@@ -20,6 +20,14 @@
 /// the same number of integer points (the key difference from diamond
 /// tiling, Sec. 2), which pointsPerTile() computes exactly.
 ///
+/// Two forms of the one shape are kept. shape() is the symbolic form, an
+/// IntegerSet for the polyhedral layers and their tests. The evaluated form
+/// is a row table: the inclusive b-range of each row a = 0..2h+1, derived
+/// once from the constraints at construction. contains(), rowRange(),
+/// pointsPerTile(), minB() and maxB() read only the table, so testing a
+/// point is two integer comparisons -- the same per-row bounds the emitted
+/// kernels walk (EmissionPlan::RowLo/RowHi).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HEXTILE_CORE_HEXAGONGEOMETRY_H
@@ -27,6 +35,8 @@
 
 #include "core/HexTileParams.h"
 #include "poly/IntegerSet.h"
+
+#include <vector>
 
 namespace hextile {
 namespace core {
@@ -39,12 +49,17 @@ public:
 
   const HexTileParams &params() const { return P; }
 
-  /// True if local point (a, b) lies inside the hexagon. Constraints (7)
-  /// and (13) are included even though box-local points always satisfy
-  /// them, so the shape is self-contained.
-  bool contains(int64_t A, int64_t B) const;
+  /// True if local point (a, b) lies inside the hexagon. Rows outside
+  /// constraints (7) and (13), a < 0 or a > 2h+1, are empty, so the shape
+  /// is self-contained.
+  bool contains(int64_t A, int64_t B) const {
+    if (A < 0 || A >= static_cast<int64_t>(Rows.size()))
+      return false;
+    const Row &R = Rows[A];
+    return R.Lo <= B && B <= R.Hi;
+  }
 
-  /// The hexagon as an integer set over dims (a, b).
+  /// The hexagon as an integer set over dims (a, b): the symbolic form.
   const poly::IntegerSet &shape() const { return Shape; }
 
   /// Exact number of integer points in the (full) tile.
@@ -61,8 +76,14 @@ public:
   std::string ascii() const;
 
 private:
+  /// Inclusive b-range of one row; Lo > Hi when the row is empty.
+  struct Row {
+    int64_t Lo, Hi;
+  };
+
   HexTileParams P;
   poly::IntegerSet Shape;
+  std::vector<Row> Rows; ///< Rows a = 0..2h+1, derived from Shape.
 };
 
 } // namespace core

@@ -18,25 +18,45 @@ HybridSchedule::HybridSchedule(const HexTileParams &Params,
     Inner.emplace_back(InnerWidths[I], InnerDelta1[I], Params.timePeriod());
 }
 
-HybridVector HybridSchedule::map(std::span<const int64_t> Point) const {
+HexTileCoord HybridSchedule::compose(std::span<const int64_t> Point,
+                                     std::span<int64_t> S,
+                                     std::span<int64_t> LocalS) const {
   assert(Point.size() == spaceRank() + 1 && "point arity mismatch");
-  int64_t T = Point[0];
-  HexTileCoord HC = Hex.locate(T, Point[1]);
-  HybridVector V;
-  V.T = HC.T;
-  V.Phase = HC.Phase;
-  V.S.resize(spaceRank());
-  V.LocalS.resize(spaceRank());
-  V.S[0] = HC.S0;
-  V.LocalT = HC.A;
-  V.LocalS[0] = HC.B;
+  HexTileCoord HC = Hex.locate(Point[0], Point[1]);
+  S[0] = HC.S0;
+  LocalS[0] = HC.B;
   // The normalized time u equals the local coordinate a by eqs. (15)/(16).
   int64_t U = HC.A;
   for (unsigned I = 0, E = Inner.size(); I < E; ++I) {
-    V.S[I + 1] = Inner[I].tileIndex(Point[I + 2], U);
-    V.LocalS[I + 1] = Inner[I].localIndex(Point[I + 2], U);
+    S[I + 1] = Inner[I].tileIndex(Point[I + 2], U);
+    LocalS[I + 1] = Inner[I].localIndex(Point[I + 2], U);
   }
+  return HC;
+}
+
+HybridVector HybridSchedule::map(std::span<const int64_t> Point) const {
+  HybridVector V;
+  V.S.resize(spaceRank());
+  V.LocalS.resize(spaceRank());
+  HexTileCoord HC = compose(Point, V.S, V.LocalS);
+  V.T = HC.T;
+  V.Phase = HC.Phase;
+  V.LocalT = HC.A;
   return V;
+}
+
+void HybridSchedule::appendKey(std::span<const int64_t> Point,
+                               std::vector<int64_t> &Out) const {
+  // Layout: [T, p | S0..Sn | t' | s0'..sn'].
+  size_t Rank = spaceRank();
+  size_t Base = Out.size();
+  Out.resize(Base + 3 + 2 * Rank);
+  std::span<int64_t> Key(Out.data() + Base, 3 + 2 * Rank);
+  HexTileCoord HC =
+      compose(Point, Key.subspan(2, Rank), Key.subspan(3 + Rank, Rank));
+  Key[0] = HC.T;
+  Key[1] = HC.Phase;
+  Key[2 + Rank] = HC.A;
 }
 
 ExecOrder HybridSchedule::compare(const HybridVector &X,

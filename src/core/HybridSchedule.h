@@ -73,6 +73,12 @@ public:
   /// Maps a canonical point [t, s0, ..., sn]; asserts arity.
   HybridVector map(std::span<const int64_t> Point) const;
 
+  /// Appends the Sec. 4.1 key [T, p, S0, S1..Sn, t', s0'..sn'] of \p Point
+  /// -- map()'s fields in order, 3 + 2 * spaceRank() values -- to \p Out
+  /// after its existing contents, without allocating a HybridVector.
+  void appendKey(std::span<const int64_t> Point,
+                 std::vector<int64_t> &Out) const;
+
   /// Relative execution order of two images under the Sec. 4.1 semantics.
   static ExecOrder compare(const HybridVector &X, const HybridVector &Y);
 
@@ -80,6 +86,12 @@ public:
   std::string str() const;
 
 private:
+  /// The composition itself: locates (t, s0) in the hexagonal schedule,
+  /// writes S0..Sn into \p S and s0'..sn' into \p LocalS (spaceRank()
+  /// values each) and returns the hexagonal coordinate for T, p and t'.
+  HexTileCoord compose(std::span<const int64_t> Point, std::span<int64_t> S,
+                       std::span<int64_t> LocalS) const;
+
   HexSchedule Hex;
   std::vector<ClassicalTiling> Inner;
 };

@@ -24,6 +24,12 @@
 /// instance; schedules whose leading component varies spatially (diamond
 /// wavefronts) degrade gracefully to extra scans but keep the memory bound.
 ///
+/// A key evaluation costs tens of nanoseconds for every family: the hex and
+/// hybrid keys test the hexagon by a row-table lookup (HexagonGeometry) with
+/// the lattice constants cached in HexSchedule, in integer arithmetic like
+/// the classical key. The two passes and the per-band sort, not the keys,
+/// are the generator's cost.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HEXTILE_EXEC_WAVEFRONT_H

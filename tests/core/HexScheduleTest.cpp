@@ -5,8 +5,30 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace hextile;
 using namespace hextile::core;
+
+namespace {
+
+/// Parameter sets for the lattice checks. HexSchedule caches the periods,
+/// the drift and the phase-0 shift; these sets reach both drift signs, zero
+/// drift and fractional slopes whose products with h are not integral.
+std::vector<HexTileParams> latticeParamSets() {
+  return {
+      HexTileParams(2, 3, Rational(1), Rational(2)),
+      HexTileParams(1, 2, Rational(1), Rational(1)),
+      // |_d0h_| = 4, |_d1h_| = 1: drift -3.
+      HexTileParams(3, 2, Rational(3, 2), Rational(1, 2)),
+      // |_d0h_| = 1, |_d1h_| = 4: drift +3.
+      HexTileParams(2, 3, Rational(1, 2), Rational(2)),
+      // |_d0h_| = |_d1h_| = |_4/3_| = 1: drift 0.
+      HexTileParams(2, 1, Rational(2, 3), Rational(2, 3)),
+  };
+}
+
+} // namespace
 
 TEST(HexScheduleTest, Eq2And4TimeTileIndices) {
   HexSchedule S(HexTileParams(2, 3, Rational(1), Rational(1)));
@@ -35,32 +57,40 @@ TEST(HexScheduleTest, LocalCoordinatesWithinBox) {
 }
 
 TEST(HexScheduleTest, TileOriginRoundTrips) {
-  HexSchedule S(HexTileParams(2, 3, Rational(1), Rational(2)));
-  for (int64_t TT = -2; TT <= 2; ++TT)
-    for (int64_t SS = -2; SS <= 2; ++SS)
-      for (int Phase = 0; Phase < 2; ++Phase) {
-        int64_t T, S0;
-        S.tileOrigin(TT, Phase, SS, T, S0);
-        HexTileCoord C = S.boxCoord(T, S0, Phase);
-        EXPECT_EQ(C.T, TT);
-        EXPECT_EQ(C.S0, SS);
-        EXPECT_EQ(C.A, 0);
-        EXPECT_EQ(C.B, 0);
-      }
+  for (const HexTileParams &P : latticeParamSets()) {
+    SCOPED_TRACE(P.str());
+    ASSERT_TRUE(P.isValid());
+    HexSchedule S(P);
+    for (int64_t TT = -2; TT <= 2; ++TT)
+      for (int64_t SS = -2; SS <= 2; ++SS)
+        for (int Phase = 0; Phase < 2; ++Phase) {
+          int64_t T, S0;
+          S.tileOrigin(TT, Phase, SS, T, S0);
+          HexTileCoord C = S.boxCoord(T, S0, Phase);
+          EXPECT_EQ(C.T, TT);
+          EXPECT_EQ(C.S0, SS);
+          EXPECT_EQ(C.A, 0);
+          EXPECT_EQ(C.B, 0);
+        }
+  }
 }
 
 TEST(HexScheduleTest, LocateAgreesWithBoxCoord) {
-  HexSchedule S(HexTileParams(1, 2, Rational(1), Rational(1)));
-  for (int64_t T = -6; T <= 12; ++T)
-    for (int64_t S0 = -12; S0 <= 12; ++S0) {
-      HexTileCoord C = S.locate(T, S0);
-      HexTileCoord B = S.boxCoord(T, S0, C.Phase);
-      EXPECT_EQ(C.T, B.T);
-      EXPECT_EQ(C.S0, B.S0);
-      EXPECT_EQ(C.A, B.A);
-      EXPECT_EQ(C.B, B.B);
-      EXPECT_TRUE(S.hexagon().contains(C.A, C.B));
-    }
+  for (const HexTileParams &P : latticeParamSets()) {
+    SCOPED_TRACE(P.str());
+    HexSchedule S(P);
+    int64_t TW = 2 * P.timePeriod(), SW = 2 * P.spacePeriod();
+    for (int64_t T = -TW; T <= TW; ++T)
+      for (int64_t S0 = -SW; S0 <= SW; ++S0) {
+        HexTileCoord C = S.locate(T, S0);
+        HexTileCoord B = S.boxCoord(T, S0, C.Phase);
+        EXPECT_EQ(C.T, B.T);
+        EXPECT_EQ(C.S0, B.S0);
+        EXPECT_EQ(C.A, B.A);
+        EXPECT_EQ(C.B, B.B);
+        EXPECT_TRUE(S.hexagon().contains(C.A, C.B));
+      }
+  }
 }
 
 TEST(HexScheduleTest, PhaseOrderingWithinTimeTile) {
@@ -77,21 +107,27 @@ TEST(HexScheduleTest, PhaseOrderingWithinTimeTile) {
 }
 
 TEST(HexScheduleTest, SymbolicFormulasMatchEvaluation) {
-  HexSchedule S(HexTileParams(2, 3, Rational(1), Rational(2)));
-  for (int Phase = 0; Phase < 2; ++Phase) {
-    poly::QExpr ET = S.exprT(Phase);
-    poly::QExpr ES = S.exprS0(Phase);
-    poly::QExpr EA = S.exprA(Phase);
-    poly::QExpr EB = S.exprB(Phase);
-    for (int64_t T = -8; T <= 8; ++T)
-      for (int64_t S0 = -15; S0 <= 15; ++S0) {
-        int64_t Vars[2] = {T, S0};
-        HexTileCoord C = S.boxCoord(T, S0, Phase);
-        EXPECT_EQ(ET.evaluate(Vars), C.T);
-        EXPECT_EQ(ES.evaluate(Vars), C.S0);
-        EXPECT_EQ(EA.evaluate(Vars), C.A);
-        EXPECT_EQ(EB.evaluate(Vars), C.B);
-      }
+  // exprT/exprS0/exprA/exprB are built from HexTileParams, independently of
+  // the integers boxCoord() caches.
+  for (const HexTileParams &P : latticeParamSets()) {
+    SCOPED_TRACE(P.str());
+    HexSchedule S(P);
+    int64_t TW = 2 * P.timePeriod(), SW = 2 * P.spacePeriod();
+    for (int Phase = 0; Phase < 2; ++Phase) {
+      poly::QExpr ET = S.exprT(Phase);
+      poly::QExpr ES = S.exprS0(Phase);
+      poly::QExpr EA = S.exprA(Phase);
+      poly::QExpr EB = S.exprB(Phase);
+      for (int64_t T = -TW; T <= TW; ++T)
+        for (int64_t S0 = -SW; S0 <= SW; ++S0) {
+          int64_t Vars[2] = {T, S0};
+          HexTileCoord C = S.boxCoord(T, S0, Phase);
+          EXPECT_EQ(ET.evaluate(Vars), C.T);
+          EXPECT_EQ(ES.evaluate(Vars), C.S0);
+          EXPECT_EQ(EA.evaluate(Vars), C.A);
+          EXPECT_EQ(EB.evaluate(Vars), C.B);
+        }
+    }
   }
 }
 

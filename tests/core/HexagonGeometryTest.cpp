@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 using namespace hextile;
 using namespace hextile::core;
 
@@ -51,15 +54,47 @@ TEST(HexagonGeometryTest, ContainedInBox) {
     }
 }
 
-TEST(HexagonGeometryTest, RowRangeMatchesContains) {
-  HexagonGeometry G(HexTileParams(2, 3, Rational(1), Rational(2)));
-  for (int64_t A = 0; A <= 5; ++A) {
-    int64_t Lo, Hi;
-    G.rowRange(A, Lo, Hi);
-    for (int64_t B = -5; B <= 20; ++B)
-      EXPECT_EQ(G.contains(A, B), B >= Lo && B <= Hi)
-          << "a=" << A << " b=" << B;
-  }
+TEST(HexagonGeometryTest, RowTableMatchesShape) {
+  // contains() and rowRange() read the row table; shape() is the paper's
+  // constraint system (6)-(13). Sweep h, both slopes and the narrowest legal
+  // width plus a wider one, and compare the two forms point by point beyond
+  // the box on every side.
+  const Rational Slopes[] = {Rational(1, 2), Rational(2, 3), Rational(1),
+                             Rational(3, 2), Rational(2)};
+  for (int64_t H = 1; H <= 4; ++H)
+    for (const Rational &D0 : Slopes)
+      for (const Rational &D1 : Slopes) {
+        int64_t MinW0 =
+            std::max<int64_t>(HexTileParams::minWidth(D0, D1, H).ceil(), 1);
+        for (int64_t W0 : {MinW0, MinW0 + 3}) {
+          HexTileParams P(H, W0, D0, D1);
+          ASSERT_TRUE(P.isValid()) << P.str();
+          HexagonGeometry G(P);
+          int64_t Count = 0;
+          int64_t MinB = std::numeric_limits<int64_t>::max();
+          int64_t MaxB = std::numeric_limits<int64_t>::min();
+          for (int64_t A = -2; A < 2 * H + 4; ++A) {
+            int64_t Lo, Hi;
+            G.rowRange(A, Lo, Hi);
+            for (int64_t B = -3; B < P.spacePeriod() + 3; ++B) {
+              int64_t Pt[2] = {A, B};
+              bool In = G.shape().contains(Pt);
+              ASSERT_EQ(G.contains(A, B), In)
+                  << P.str() << " a=" << A << " b=" << B;
+              ASSERT_EQ(B >= Lo && B <= Hi, In)
+                  << P.str() << " a=" << A << " b=" << B;
+              if (!In)
+                continue;
+              ++Count;
+              MinB = std::min(MinB, B);
+              MaxB = std::max(MaxB, B);
+            }
+          }
+          EXPECT_EQ(G.pointsPerTile(), Count) << P.str();
+          EXPECT_EQ(G.minB(), MinB) << P.str();
+          EXPECT_EQ(G.maxB(), MaxB) << P.str();
+        }
+      }
 }
 
 TEST(HexagonGeometryTest, SymmetricHexagonIsSymmetric) {

@@ -110,3 +110,49 @@ TEST(HybridScheduleTest, ThreeDimensionalMapping) {
   EXPECT_GE(V.LocalS[2], 0);
   EXPECT_LT(V.LocalS[2], 32);
 }
+
+TEST(HybridScheduleTest, AppendKeyIsMapInKeyOrder) {
+  // Rank 2 and rank 3, with integral (from the dependence analysis) and
+  // fractional inner slopes.
+  std::vector<HybridSchedule> Schedules = {
+      makeSchedule(ir::makeJacobi2D(32, 4), 2, 3, {8}),
+      HybridSchedule(HexTileParams(2, 3, Rational(1, 2), Rational(2)), {5},
+                     {Rational(2, 3)}),
+      makeSchedule(ir::makeHeat3D(24, 3), 1, 2, {4, 6}),
+      HybridSchedule(HexTileParams(3, 2, Rational(3, 2), Rational(1, 2)),
+                     {4, 3}, {Rational(1, 2), Rational(3, 2)}),
+  };
+  const std::vector<int64_t> Prefix = {-7, 42};
+  for (const HybridSchedule &S : Schedules) {
+    SCOPED_TRACE(S.params().str());
+    unsigned Rank = S.spaceRank();
+    // Every point of the box t in [-2, 10), s_i in [-5, 9).
+    std::vector<int64_t> Lo(Rank + 1, -5), Hi(Rank + 1, 9);
+    Lo[0] = -2;
+    Hi[0] = 10;
+    std::vector<int64_t> Pt = Lo;
+    size_t Points = 0;
+    while (true) {
+      HybridVector V = S.map(Pt);
+      std::vector<int64_t> Expected = Prefix;
+      Expected.push_back(V.T);
+      Expected.push_back(V.Phase);
+      Expected.insert(Expected.end(), V.S.begin(), V.S.end());
+      Expected.push_back(V.LocalT);
+      Expected.insert(Expected.end(), V.LocalS.begin(), V.LocalS.end());
+      std::vector<int64_t> Key = Prefix;
+      S.appendKey(Pt, Key);
+      ASSERT_EQ(Key, Expected);
+      ++Points;
+      unsigned D = 0;
+      for (; D <= Rank; ++D) {
+        if (++Pt[D] < Hi[D])
+          break;
+        Pt[D] = Lo[D];
+      }
+      if (D > Rank)
+        break;
+    }
+    EXPECT_EQ(Points, Rank == 2 ? 12u * 14 * 14 : 12u * 14 * 14 * 14);
+  }
+}

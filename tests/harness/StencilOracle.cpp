@@ -139,17 +139,11 @@ OracleSchedule makeHybridKey(const ir::StencilProgram &P,
   // permuted) and keeps the per-block sequential prefix, so equal keys are
   // exactly the thread-parallel instances.
   S.ParallelFrom = 3 + static_cast<int>(Rank - 1) + 1;
-  S.Key = [Sched, Rank, BlockPermSeed](std::span<const int64_t> Pt,
-                                       std::vector<int64_t> &Key) {
-    core::HybridVector V = Sched->map(Pt);
-    Key.push_back(V.T);
-    Key.push_back(V.Phase);
-    Key.push_back(permuteBlock(BlockPermSeed, V.S[0]));
-    for (unsigned D = 1; D < Rank; ++D)
-      Key.push_back(V.S[D]);
-    Key.push_back(V.LocalT);
-    for (int64_t L : V.LocalS)
-      Key.push_back(L);
+  S.Key = [Sched, BlockPermSeed](std::span<const int64_t> Pt,
+                                 std::vector<int64_t> &Key) {
+    size_t BlockSlot = Key.size() + 2;
+    Sched->appendKey(Pt, Key);
+    Key[BlockSlot] = permuteBlock(BlockPermSeed, Key[BlockSlot]);
   };
   return S;
 }
