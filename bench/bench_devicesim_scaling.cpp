@@ -33,6 +33,7 @@
 
 #include "BenchSupport.h"
 #include "core/OverlappedSchedule.h"
+#include "exec/DeviceSimBackend.h"
 #include "exec/Executor.h"
 #include "exec/OverlappedReplay.h"
 #include "exec/PartitionedGridStorage.h"
@@ -129,14 +130,15 @@ int main(int argc, char **argv) {
         gpu::DeviceTopology Topo = gpu::DeviceTopology::uniform(
             gpu::DeviceConfig::gtx470(), static_cast<unsigned>(Devices));
 
-        exec::ScheduleRunOptions Opts;
-        Opts.Backend = exec::BackendKind::DeviceSim;
-        Opts.Topology = &Topo;
-        Opts.ParallelFrom = S.ParallelFrom;
+        // One backend per row, built outside the timed region.
+        exec::DeviceSimBackend Backend(Topo);
         // Smoke grids produce wavefronts below the production batching
         // floor; lower it so the threaded path is exercised end to end.
         if (Smoke)
-          Opts.MinTaskInstances = 1;
+          Backend.setMinTaskInstances(1);
+        exec::ScheduleRunOptions Opts;
+        Opts.BackendOverride = &Backend;
+        Opts.ParallelFrom = S.ParallelFrom;
         exec::ReplayStats Stats;
 
         double Best = 0;
@@ -165,9 +167,8 @@ int main(int argc, char **argv) {
           GapPercent = 0;
           Predicted = gpu::HaloExchangeCost();
           if (Stats.Devices > 1 && Stats.HaloExchanges > 0) {
-            exec::ScheduleRunOptions StorageOpts = Opts;
             std::unique_ptr<exec::FieldStorage> Probe =
-                exec::makeStorage(P, StorageOpts);
+                exec::makeStorage(P, Opts);
             auto *Parts =
                 dynamic_cast<exec::PartitionedGridStorage *>(Probe.get());
             std::vector<int64_t> Cuts;
@@ -266,11 +267,11 @@ int main(int argc, char **argv) {
       for (int64_t Band : {int64_t(1), int64_t(2), int64_t(4)}) {
         core::OverlappedSchedule Sched(
             P, Band, std::max<int64_t>(T.W0 * 2, 8));
-        exec::ScheduleRunOptions Opts;
-        Opts.Backend = exec::BackendKind::DeviceSim;
-        Opts.Topology = &Topo;
+        exec::DeviceSimBackend Backend(Topo);
         if (Smoke)
-          Opts.MinTaskInstances = 1;
+          Backend.setMinTaskInstances(1);
+        exec::ScheduleRunOptions Opts;
+        Opts.BackendOverride = &Backend;
 
         exec::ReplayStats Stats;
         double GapPercent = 0;

@@ -5,7 +5,7 @@
 // schedule, validate it by bit-exact execution, inspect the generated CUDA,
 // and estimate GPU performance.
 //
-// Run:  ./quickstart
+// Run:  ./quickstart   (exits 1 when the bit-exact validation fails)
 //
 //===----------------------------------------------------------------------===//
 
@@ -65,5 +65,5 @@ int main() {
                 Dev.Name.c_str(), R.GStencilsPerSec, R.GFlops,
                 R.Counters.GldEfficiency * 100);
   }
-  return 0;
+  return Check.empty() ? 0 : 1;
 }

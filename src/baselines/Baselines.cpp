@@ -115,8 +115,8 @@ BaselineResult baselines::compilePpcg(const ir::StencilProgram &P,
   }
 
   // Functional schedule: time steps sequential, all space parallel.
-  R.Key = [](std::span<const int64_t> Point) {
-    return std::vector<int64_t>{Point[0]};
+  R.Key = [](std::span<const int64_t> Point, std::vector<int64_t> &Key) {
+    Key.push_back(Point[0]);
   };
   return R;
 }
@@ -173,8 +173,8 @@ BaselineResult baselines::compilePar4all(const ir::StencilProgram &P,
     K.StagedCopies = false;   // Cache-backed direct accesses.
     R.Kernels.push_back(std::move(K));
   }
-  R.Key = [](std::span<const int64_t> Point) {
-    return std::vector<int64_t>{Point[0]};
+  R.Key = [](std::span<const int64_t> Point, std::vector<int64_t> &Key) {
+    Key.push_back(Point[0]);
   };
   return R;
 }

@@ -45,7 +45,7 @@ struct BaselineResult {
   std::vector<gpu::KernelModel> Kernels;
   /// Schedule key for exec::runSchedule; null for schemes with redundant
   /// computation (Overtile), which are validated separately.
-  exec::ScheduleKeyFn Key;
+  exec::ScheduleKeyIntoFn Key;
   /// Chosen tuning parameters, for reporting.
   std::string TuningNote;
 };

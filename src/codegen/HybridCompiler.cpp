@@ -153,24 +153,17 @@ CompiledHybrid::kernelModels(const gpu::DeviceConfig &Dev) const {
   return {K};
 }
 
-exec::ScheduleKeyFn CompiledHybrid::scheduleKey(uint64_t BlockPermSeed)
-    const {
+exec::ScheduleKeyIntoFn
+CompiledHybrid::scheduleKey(uint64_t BlockPermSeed) const {
   // Capture by value: the key function outlives the compiler result's
   // stack frame uses.
   core::HybridSchedule S = Sched;
-  return [S, BlockPermSeed](std::span<const int64_t> Point) {
-    std::vector<int64_t> Key;
-    Key.reserve(3 + 2 * S.spaceRank());
+  return [S, BlockPermSeed](std::span<const int64_t> Point,
+                            std::vector<int64_t> &Key) {
+    // Slot 2 is the thread-block index S0.
+    size_t BlockSlot = Key.size() + 2;
     S.appendKey(Point, Key);
-    if (BlockPermSeed != 0) {
-      // Slot 2 is the thread-block index S0.
-      uint64_t H = static_cast<uint64_t>(Key[2]) ^ BlockPermSeed;
-      H ^= H >> 33;
-      H *= 0xff51afd7ed558ccdull;
-      H ^= H >> 33;
-      Key[2] = static_cast<int64_t>(H >> 1); // Keep non-negative.
-    }
-    return Key;
+    Key[BlockSlot] = exec::permuteBlock(BlockPermSeed, Key[BlockSlot]);
   };
 }
 

@@ -65,9 +65,10 @@ public:
   /// [T, p, S0, S1.., t', s0'..]. Thread blocks (the S0 component) run
   /// concurrently on a GPU; any serialization of them is a legal
   /// linearization, so passing a nonzero \p BlockPermSeed permutes the
-  /// block order pseudo-randomly -- an illegal cross-block dependence then
-  /// shows up as a result mismatch for some seed.
-  exec::ScheduleKeyFn scheduleKey(uint64_t BlockPermSeed = 0) const;
+  /// block order pseudo-randomly (exec::permuteBlock, the oracle's hash)
+  /// -- an illegal cross-block dependence then shows up as a result
+  /// mismatch for some seed.
+  exec::ScheduleKeyIntoFn scheduleKey(uint64_t BlockPermSeed = 0) const;
 
   /// Threads per block, (1, w1, ..., wn) as in Sec. 6.2.
   int64_t threadsPerBlock() const;

@@ -11,9 +11,12 @@
 ///  * ReferenceExecutor runs the program in original (time-major) order;
 ///  * runSchedule replays the statement instances in the order induced by
 ///    an arbitrary schedule key, streamed as wavefronts (Wavefront.h)
-///    through a pluggable ExecutionBackend -- serially, spread across a
-///    work-stealing thread pool, or partitioned over a simulated device
-///    chain with explicit halo exchange (DeviceSimBackend).
+///    through the ExecutionBackend the caller passes -- SerialBackend,
+///    ThreadPoolBackend, or DeviceSimBackend partitioned over a simulated
+///    device chain with explicit halo exchange. Without one the replay
+///    runs serially on the calling thread. A caller that builds its
+///    backend once (makeBackend) reuses the pool or device chain across
+///    every replay, and makeStorage shapes the storage to match it.
 ///
 /// Execution goes through the abstract FieldStorage seam and operates in
 /// place on rotating buffers, so an illegal tiling (a violated flow OR
@@ -109,65 +112,28 @@ struct ScheduleRunOptions {
   /// their instances when ShuffleSeed != 0, and dispatched concurrently by
   /// parallel backends). Use -1 for "all sequential".
   int ParallelFrom = -1;
-  /// Which ExecutionBackend retires the wavefronts.
-  BackendKind Backend = BackendKind::Serial;
-  /// Thread count for BackendKind::ThreadPool: 0 resolves to hardware
-  /// concurrency, negative values are rejected (resolveNumThreads).
-  int NumThreads = 0;
-  /// Simulated device count for BackendKind::DeviceSim (uniform GTX 470
-  /// chain); ignored when Topology is set.
-  unsigned NumDevices = 2;
-  /// Non-owning explicit device topology for BackendKind::DeviceSim.
-  const gpu::DeviceTopology *Topology = nullptr;
-  /// Batching floor of the parallel backends: wavefronts with at most this
-  /// many instances run inline on the caller (no pool handoff) and no
-  /// dispatched chunk is smaller. 1 parallelizes every wavefront --
-  /// required when a test wants races exposed on tiny fronts.
-  size_t MinTaskInstances = 128;
-  /// Halo-exchange cadence of a DeviceSim replay, in full time steps:
-  /// makeStorage provisions the partitioned storage's rings (and owned
-  /// width floor) for one exchange every this many steps. 1 is the
-  /// classic per-wavefront-barrier cadence; an overlapped (trapezoidal)
-  /// replay passes its band height and exchanges once per band over
-  /// band-deep rings (exec::runOverlapped).
-  int64_t ExchangeCadenceSteps = 1;
-  /// Non-owning override: when set, Backend/NumThreads/NumDevices are not
-  /// used to build a backend and this instance is used directly -- lets
-  /// callers reuse one thread pool (or device chain) across many replays
-  /// instead of respawning it per run.
+  /// Non-owning: the backend that retires the wavefronts. Null replays
+  /// serially on the caller. Build it once (makeBackend) and pass it to
+  /// every replay, so a pool or device chain outlives one run.
   ExecutionBackend *BackendOverride = nullptr;
   /// When set, filled with the replay's streaming/wavefront counters plus
   /// the DeviceSim compute/exchange counters.
   ReplayStats *Stats = nullptr;
 };
 
-/// Builds the FieldStorage matching \p Opts' backend choice: a flat
-/// GridStorage for in-address-space backends, a PartitionedGridStorage
-/// over the requested topology for DeviceSim (honoring BackendOverride's
-/// topology when one is installed).
+/// Builds the FieldStorage \p Opts' backend executes against: a
+/// PartitionedGridStorage over BackendOverride's partitionTopology() when it
+/// has one (DeviceSim), else a flat GridStorage.
 std::unique_ptr<FieldStorage> makeStorage(const ir::StencilProgram &P,
                                           const ScheduleRunOptions &Opts,
                                           const Initializer &Init =
                                               defaultInit);
 
-/// The backend a replay under \p Opts runs on: Opts.BackendOverride when
-/// set, else a new makeBackend of Opts' backend fields, held by \p Owned.
-/// runSchedule and runOverlapped share this step.
-ExecutionBackend &resolveBackend(const ScheduleRunOptions &Opts,
-                                 std::unique_ptr<ExecutionBackend> &Owned);
-
-/// Replays every instance of \p Domain ordered by \p Key (allocation-free
-/// appending form; see Wavefront.h).
+/// Replays every instance of \p Domain ordered by \p Key on
+/// Opts.BackendOverride (serially on the caller when null).
 void runSchedule(const ir::StencilProgram &P, FieldStorage &Storage,
                  const core::IterationDomain &Domain,
                  const ScheduleKeyIntoFn &Key,
-                 const ScheduleRunOptions &Opts = {});
-
-/// Legacy returning-form overload (adapted via adaptKeyFn; one allocation
-/// per key evaluation).
-void runSchedule(const ir::StencilProgram &P, FieldStorage &Storage,
-                 const core::IterationDomain &Domain,
-                 const ScheduleKeyFn &Key,
                  const ScheduleRunOptions &Opts = {});
 
 /// Convenience: reference-vs-schedule equivalence for \p P, with the
@@ -175,9 +141,6 @@ void runSchedule(const ir::StencilProgram &P, FieldStorage &Storage,
 /// empty string if the final fields agree bit-exactly.
 std::string checkScheduleEquivalence(const ir::StencilProgram &P,
                                      const ScheduleKeyIntoFn &Key,
-                                     const ScheduleRunOptions &Opts = {});
-std::string checkScheduleEquivalence(const ir::StencilProgram &P,
-                                     const ScheduleKeyFn &Key,
                                      const ScheduleRunOptions &Opts = {});
 
 } // namespace exec

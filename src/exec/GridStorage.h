@@ -60,13 +60,6 @@ public:
     at(Field, T, Coords) = V;
   }
 
-  /// Legacy name for compareStoragesAtStep (FieldStorage.h), kept for the
-  /// concrete-type callers.
-  static std::string compareAtStep(const FieldStorage &A,
-                                   const FieldStorage &B, int64_t T) {
-    return compareStoragesAtStep(A, B, T);
-  }
-
 private:
   int64_t linearIndex(unsigned Field, int64_t T,
                       std::span<const int64_t> Coords) const {

@@ -230,9 +230,12 @@ exec::makeOverlappedStorage(const ir::StencilProgram &P,
                             const core::OverlappedSchedule &Sched,
                             const ScheduleRunOptions &Opts,
                             const Initializer &Init) {
-  ScheduleRunOptions Banded = Opts;
-  Banded.ExchangeCadenceSteps = Sched.bandSteps();
-  return makeStorage(P, Banded, Init);
+  ExecutionBackend *Backend = Opts.BackendOverride;
+  if (const gpu::DeviceTopology *Topo =
+          Backend ? Backend->partitionTopology() : nullptr)
+    return std::make_unique<PartitionedGridStorage>(P, *Topo, Init,
+                                                    Sched.bandSteps());
+  return std::make_unique<GridStorage>(P, Init);
 }
 
 void exec::runOverlapped(const ir::StencilProgram &P,
@@ -249,21 +252,23 @@ void exec::runOverlapped(const ir::StencilProgram &P,
         "overlapped schedule was built for a " +
         extentsStr(Sched.program().spaceSizes()) + " grid, replaying a " +
         extentsStr(P.spaceSizes()) + " grid");
-  std::unique_ptr<ExecutionBackend> Owned;
-  ExecutionBackend &Backend = resolveBackend(Opts, Owned);
+  SerialBackend Serial;
+  ExecutionBackend &Backend =
+      Opts.BackendOverride ? *Opts.BackendOverride : Serial;
+  auto *Parts = dynamic_cast<PartitionedGridStorage *>(&Storage);
+  auto *Devices = dynamic_cast<DeviceSimBackend *>(&Backend);
+  if (!Parts != !Devices)
+    throw std::invalid_argument(
+        "overlapped replay of storage kind '" + std::string(Storage.kind()) +
+        "' on backend '" + Backend.name() +
+        "': partitioned storage (exec::makeOverlappedStorage) and a "
+        "DeviceSimBackend need each other");
   if (Opts.Stats)
     *Opts.Stats = ReplayStats{};
-  if (auto *Parts = dynamic_cast<PartitionedGridStorage *>(&Storage)) {
-    auto *Devices = dynamic_cast<DeviceSimBackend *>(&Backend);
-    if (!Devices)
-      throw std::invalid_argument(
-          "overlapped replay over partitioned storage needs a "
-          "DeviceSimBackend, got '" +
-          std::string(Backend.name()) + "'");
+  if (Parts)
     runOverlappedBanded(P, Sched, *Parts, *Devices, Opts.Stats);
-    return;
-  }
-  runOverlappedTiled(P, Sched, Storage, Backend, Opts);
+  else
+    runOverlappedTiled(P, Sched, Storage, Backend, Opts);
 }
 
 std::string

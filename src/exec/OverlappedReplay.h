@@ -9,9 +9,10 @@
 /// overlapped schedule cannot be expressed as a lexicographic schedule key
 /// -- its tiles *recompute* each other's cells, so one statement instance
 /// executes in several tiles at once -- which is why it gets its own
-/// driver instead of runSchedule. The driver takes its backend from the
-/// same override-or-makeBackend step as runSchedule (resolveBackend), and
-/// every participant runs the same trapezoid loop (runTrapezoid):
+/// driver instead of runSchedule. Like runSchedule, the driver runs on the
+/// backend the caller passes in ScheduleRunOptions::BackendOverride
+/// (serially on the caller when null), and every participant runs the
+/// same trapezoid loop (runTrapezoid):
 ///
 ///  * On flat storage (GridStorage), each time band runs as two phases.
 ///    Phase 1: every tile copies its footprint (core + band-entry halos,
@@ -22,8 +23,8 @@
 ///    core column (all slots) back; cores are disjoint, so phase 2 is
 ///    race-free too. The band boundary is the only barrier.
 ///
-///  * On partitioned storage (DeviceSim), each band is a device-level
-///    trapezoid: DeviceSimBackend::runOverlappedBand computes every
+///  * On partitioned storage, which only a DeviceSimBackend runs on and
+///    which it always needs, each band is a device-level trapezoid: DeviceSimBackend::runOverlappedBand computes every
 ///    device's expanded slab with no intra-band barrier and exchanges
 ///    halos once per band over band-deep rings, through the same two-phase
 ///    driver its wavefronts use -- the banded exchange cadence, saving
@@ -51,22 +52,23 @@ namespace hextile {
 namespace exec {
 
 /// Builds the storage an overlapped replay of \p Sched needs under
-/// \p Opts: exactly makeStorage, with the exchange cadence forced to the
-/// schedule's band height so a DeviceSim replay gets band-deep rings.
+/// \p Opts: makeStorage's choice, with a partitioned storage's rings
+/// provisioned for one exchange per band (the schedule's band height).
 std::unique_ptr<FieldStorage>
 makeOverlappedStorage(const ir::StencilProgram &P,
                       const core::OverlappedSchedule &Sched,
                       const ScheduleRunOptions &Opts,
                       const Initializer &Init = defaultInit);
 
-/// Replays every time step of \p P under the overlapped schedule \p Sched.
-/// Honors Opts.Backend / BackendOverride (Serial, ThreadPool, DeviceSim),
-/// Opts.ShuffleSeed (tile execution order on flat storage), the backend's
-/// batching floor (bands small enough retire inline) and Opts.Stats.
-/// Partitioned storage must have been built by makeOverlappedStorage
-/// (rings provisioned for the band height) and replays on a
-/// DeviceSimBackend. \p Sched must have been built for \p P's program and
-/// grid extents; anything else is rejected with std::invalid_argument.
+/// Replays every time step of \p P under the overlapped schedule \p Sched
+/// on Opts.BackendOverride (Serial when null, ThreadPool, DeviceSim).
+/// Honors Opts.ShuffleSeed (tile execution order on flat storage), the
+/// backend's batching floor (bands small enough retire inline) and
+/// Opts.Stats. A DeviceSimBackend runs only on partitioned storage built
+/// by makeOverlappedStorage (rings provisioned for the band height), and
+/// partitioned storage only on a DeviceSimBackend. \p Sched must have been
+/// built for \p P's program and grid extents; anything else is rejected
+/// with std::invalid_argument.
 void runOverlapped(const ir::StencilProgram &P,
                    const core::OverlappedSchedule &Sched,
                    FieldStorage &Storage,

@@ -13,21 +13,12 @@ using namespace hextile::exec;
 
 namespace {
 
-uint64_t mix(uint64_t X) {
-  X ^= X >> 33;
-  X *= 0xff51afd7ed558ccdull;
-  X ^= X >> 33;
-  X *= 0xc4ceb9fe1a85ec53ull;
-  X ^= X >> 33;
-  return X;
-}
-
 /// Seeded shuffle tiebreak of one instance, hashed from its point exactly as
 /// the seed executor did (so logged seeds replay the same serializations).
 uint64_t tieOf(uint64_t Seed, std::span<const int64_t> Point) {
   uint64_t H = Seed;
   for (int64_t V : Point)
-    H = mix(H ^ static_cast<uint64_t>(V));
+    H = mix64(H ^ static_cast<uint64_t>(V));
   return H;
 }
 
@@ -151,14 +142,6 @@ private:
 };
 
 } // namespace
-
-ScheduleKeyIntoFn exec::adaptKeyFn(ScheduleKeyFn Key) {
-  return [Key = std::move(Key)](std::span<const int64_t> Point,
-                                std::vector<int64_t> &Out) {
-    std::vector<int64_t> K = Key(Point);
-    Out.insert(Out.end(), K.begin(), K.end());
-  };
-}
 
 void exec::streamWavefronts(
     const core::IterationDomain &Domain, const ScheduleKeyIntoFn &Key,

@@ -6,11 +6,14 @@
 ///
 /// \file
 /// Turns a schedule key over an IterationDomain into an ordered stream of
-/// *wavefronts*: maximal groups of statement instances whose sequential key
-/// prefixes are equal, emitted in lexicographic prefix order. Instances
-/// inside one wavefront are mutually independent by the schedule's parallel
-/// contract, so an ExecutionBackend may run them in any order or truly
-/// concurrently; wavefronts themselves are separated by a barrier.
+/// *wavefronts*. A key has one form, ScheduleKeyIntoFn: it appends a
+/// point's key to a buffer the generator reuses across evaluations. A
+/// wavefront is a maximal group of statement instances whose sequential
+/// key prefixes are equal; wavefronts arrive in lexicographic prefix order.
+/// Instances inside one wavefront are mutually independent by the
+/// schedule's parallel contract, so an ExecutionBackend may run them in any
+/// order or truly concurrently; wavefronts themselves are separated by a
+/// barrier.
 ///
 /// Generation is *streaming*: instead of materializing every instance key
 /// and sorting (O(n log n) time and O(n) keys resident, the seed
@@ -45,21 +48,37 @@
 namespace hextile {
 namespace exec {
 
-/// Maps a canonical iteration point to its schedule key; instances execute
-/// in lexicographic key order. Instances mapping to equal keys are treated
-/// as parallel and may run in any order.
-using ScheduleKeyFn =
-    std::function<std::vector<int64_t>(std::span<const int64_t> Point)>;
-
-/// Allocation-free form: appends the key of \p Point onto \p Out (cleared
-/// by the caller), so a replay can reuse one scratch buffer across millions
-/// of evaluations instead of returning a fresh vector per instance.
+/// Maps a canonical iteration point to its schedule key by appending the
+/// key of \p Point onto \p Out (cleared by the caller), so a replay reuses
+/// one scratch buffer across millions of evaluations. Instances execute in
+/// lexicographic key order; instances mapping to equal keys are treated as
+/// parallel and may run in any order.
 using ScheduleKeyIntoFn = std::function<void(std::span<const int64_t> Point,
                                              std::vector<int64_t> &Out)>;
 
-/// Adapts the returning form to the appending form (one allocation per
-/// evaluation -- only for legacy callers; new code writes Into directly).
-ScheduleKeyIntoFn adaptKeyFn(ScheduleKeyFn Key);
+/// The 64-bit finalizer of MurmurHash3: the one mixer behind every seeded
+/// serialization of a replay (the equal-key shuffle and permuteBlock), so
+/// a logged seed replays the same order.
+inline uint64_t mix64(uint64_t X) {
+  X ^= X >> 33;
+  X *= 0xff51afd7ed558ccdull;
+  X ^= X >> 33;
+  X *= 0xc4ceb9fe1a85ec53ull;
+  X ^= X >> 33;
+  return X;
+}
+
+/// Seeded hash of a parallel block index, substituted for the index in a
+/// schedule key so the blocks replay in a pseudo-random serialization
+/// (\p Seed 0 keeps the natural order). Hash collisions merely tie two
+/// blocks, which the replay then interleaves -- also a legal linearization
+/// of parallel blocks.
+inline int64_t permuteBlock(uint64_t Seed, int64_t Block) {
+  if (Seed == 0)
+    return Block;
+  return static_cast<int64_t>(mix64(Seed ^ static_cast<uint64_t>(Block)) >>
+                              1);
+}
 
 /// One wavefront: a flat row-major array of instance points sharing their
 /// sequential key prefix. Valid only during the sink callback.
@@ -123,8 +142,8 @@ struct ReplayStats {
   size_t KeyEvals = 0;      ///< Schedule-key evaluations (both passes).
 
   /// Chunks the thread-pool backend dispatched to worker deques; wavefronts
-  /// with at most the batching threshold's instances
-  /// (ScheduleRunOptions::MinTaskInstances) run inline on the caller and
+  /// with at most the backend's batching floor of instances
+  /// (ThreadPoolBackend::minTaskInstances) run inline on the caller and
   /// dispatch none.
   size_t PoolTasks = 0;
 

@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "exec/DeviceSimBackend.h"
 #include "exec/Executor.h"
 #include "exec/OverlappedReplay.h"
 #include "ir/StencilGallery.h"
@@ -25,21 +26,21 @@ namespace {
 constexpr int64_t GridN = 34;
 constexpr size_t FrontSize = 32;
 
-ScheduleKeyFn timeOnlyKey() {
-  return [](std::span<const int64_t> Pt) {
-    return std::vector<int64_t>{Pt[0]};
+ScheduleKeyIntoFn timeOnlyKey() {
+  return [](std::span<const int64_t> Pt, std::vector<int64_t> &Out) {
+    Out.push_back(Pt[0]);
   };
 }
 
 ReplayStats replayWavefronts(BackendKind Backend, size_t MinTaskInstances) {
   ir::StencilProgram P = ir::makeJacobi1D(GridN, 2);
   ReplayStats Stats;
+  std::unique_ptr<ExecutionBackend> B =
+      makeBackend(Backend, /*NumThreads=*/4, /*NumDevices=*/2,
+                  /*Topology=*/nullptr, MinTaskInstances);
   ScheduleRunOptions Opts;
-  Opts.Backend = Backend;
-  Opts.NumThreads = 4;
-  Opts.NumDevices = 2;
+  Opts.BackendOverride = B.get();
   Opts.ParallelFrom = 1;
-  Opts.MinTaskInstances = MinTaskInstances;
   Opts.Stats = &Stats;
   EXPECT_EQ(checkScheduleEquivalence(P, timeOnlyKey(), Opts), "");
   EXPECT_EQ(Stats.MaxWavefrontInstances, FrontSize);
@@ -52,10 +53,10 @@ ReplayStats replayOverlappedBanded(size_t MinTaskInstances) {
   ir::StencilProgram P = ir::makeJacobi1D(GridN, 2);
   core::OverlappedSchedule S(P, /*BandSteps=*/1, /*TileWidth=*/GridN);
   ReplayStats Stats;
+  DeviceSimBackend Devices(2u);
+  Devices.setMinTaskInstances(MinTaskInstances);
   ScheduleRunOptions Opts;
-  Opts.Backend = BackendKind::DeviceSim;
-  Opts.NumDevices = 2;
-  Opts.MinTaskInstances = MinTaskInstances;
+  Opts.BackendOverride = &Devices;
   Opts.Stats = &Stats;
   EXPECT_EQ(checkOverlappedEquivalence(P, S, Opts), "");
   return Stats;

@@ -44,9 +44,9 @@ ReplayStats replayOnDevices(const ir::StencilProgram &P,
   harness::OracleSchedule S = harness::makeOracleSchedule(P, K, T);
   EXPECT_NE(S.Key, nullptr) << S.Skipped;
 
+  DeviceSimBackend Devices(NumDevices);
   ScheduleRunOptions Opts;
-  Opts.Backend = BackendKind::DeviceSim;
-  Opts.NumDevices = NumDevices;
+  Opts.BackendOverride = &Devices;
   Opts.ParallelFrom = S.ParallelFrom;
   ReplayStats Stats;
   Opts.Stats = &Stats;
@@ -188,9 +188,9 @@ TEST(DeviceSimTest, WeightedTopologySplitsSlabsBySmCount) {
   harness::OracleSchedule S = harness::makeOracleSchedule(
       P, harness::ScheduleKind::Classical, harness::OracleTiling{});
   ASSERT_NE(S.Key, nullptr);
+  DeviceSimBackend Devices(Topo);
   ScheduleRunOptions Opts;
-  Opts.Backend = BackendKind::DeviceSim;
-  Opts.Topology = &Topo;
+  Opts.BackendOverride = &Devices;
   Opts.ParallelFrom = S.ParallelFrom;
   ReplayStats Stats;
   Opts.Stats = &Stats;
@@ -214,9 +214,9 @@ TEST(DeviceSimTest, NarrowGridFallsBackToFewerDevices) {
   // 8 owned columns cannot feed 8 devices of jacobi width >= 1 *and* halo
   // floors; the storage keeps a usable prefix and the replay stays exact.
   ir::StencilProgram P = ir::makeSkewedExample1D(9, 4); // MinWidth 2.
+  DeviceSimBackend Devices(8u);
   ScheduleRunOptions Opts;
-  Opts.Backend = BackendKind::DeviceSim;
-  Opts.NumDevices = 8;
+  Opts.BackendOverride = &Devices;
   std::unique_ptr<FieldStorage> Storage = makeStorage(P, Opts);
   auto *Parts = dynamic_cast<PartitionedGridStorage *>(Storage.get());
   ASSERT_NE(Parts, nullptr);

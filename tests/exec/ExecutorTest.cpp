@@ -43,8 +43,9 @@ TEST(ExecutorTest, ReferenceMatchesHandComputedJacobi1D) {
 TEST(ExecutorTest, IdentityScheduleEquivalence) {
   // The canonical order itself must be bit-equivalent to the reference.
   ir::StencilProgram P = ir::makeJacobi2D(16, 5);
-  ScheduleKeyFn Key = [](std::span<const int64_t> Pt) {
-    return std::vector<int64_t>(Pt.begin(), Pt.end());
+  ScheduleKeyIntoFn Key = [](std::span<const int64_t> Pt,
+                             std::vector<int64_t> &Out) {
+    Out.insert(Out.end(), Pt.begin(), Pt.end());
   };
   EXPECT_EQ(checkScheduleEquivalence(P, Key), "");
 }
@@ -53,8 +54,9 @@ TEST(ExecutorTest, PerStepParallelShuffleIsSafe) {
   // Points within one canonical time step carry no dependences; shuffling
   // them must not change the result.
   ir::StencilProgram P = ir::makeHeat2D(12, 4);
-  ScheduleKeyFn Key = [](std::span<const int64_t> Pt) {
-    return std::vector<int64_t>{Pt[0]};
+  ScheduleKeyIntoFn Key = [](std::span<const int64_t> Pt,
+                             std::vector<int64_t> &Out) {
+    Out.push_back(Pt[0]);
   };
   ScheduleRunOptions Opts;
   Opts.ShuffleSeed = 1234567;
@@ -68,9 +70,8 @@ TEST(ExecutorTest, IllegalScheduleIsDetected) {
   // not a sufficient negative test: for some step counts the rotating
   // buffers alias so that reversal reproduces the forward results.)
   ir::StencilProgram P = ir::makeJacobi2D(10, 4);
-  ScheduleKeyFn Chaos = [](std::span<const int64_t>) {
-    return std::vector<int64_t>{};
-  };
+  ScheduleKeyIntoFn Chaos = [](std::span<const int64_t>,
+                               std::vector<int64_t> &) {};
   ScheduleRunOptions Opts;
   Opts.ShuffleSeed = 99991;
   Opts.ParallelFrom = 0;
@@ -107,9 +108,9 @@ TEST(ExecutorTest, StreamingReplayStatsUnderThreadPool) {
   // Same schedule on the pooled backend: identical wavefront decomposition,
   // identical result.
   ir::StencilProgram P = ir::makeHeat2D(14, 6);
+  ThreadPoolBackend Pool(4);
   ScheduleRunOptions Opts;
-  Opts.Backend = BackendKind::ThreadPool;
-  Opts.NumThreads = 4;
+  Opts.BackendOverride = &Pool;
   Opts.ParallelFrom = 1; // Time sequential, space parallel: always legal.
   ReplayStats Stats;
   Opts.Stats = &Stats;
@@ -160,16 +161,9 @@ TEST(ExecutorTest, NegativeNumThreadsIsRejectedWithClearError) {
     EXPECT_NE(std::string(E.what()).find("NumThreads"), std::string::npos)
         << E.what();
   }
-  // The same validation guards the options surface: a replay configured
-  // with a negative count fails fast instead of spawning a bogus pool.
-  ir::StencilProgram P = ir::makeJacobi2D(8, 2);
-  ScheduleRunOptions Opts;
-  Opts.Backend = BackendKind::ThreadPool;
-  Opts.NumThreads = -1;
-  ScheduleKeyFn Key = [](std::span<const int64_t> Pt) {
-    return std::vector<int64_t>(Pt.begin(), Pt.end());
-  };
-  EXPECT_THROW(checkScheduleEquivalence(P, Key, Opts),
+  // The same validation guards the backend factory: a pool requested with
+  // a negative count fails fast instead of spawning a bogus pool.
+  EXPECT_THROW(makeBackend(BackendKind::ThreadPool, -1),
                std::invalid_argument);
 }
 

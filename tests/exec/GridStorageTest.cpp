@@ -57,14 +57,14 @@ TEST(GridStorageTest, DefaultInitIsDeterministicAndVaried) {
 TEST(GridStorageTest, CompareAtStepDetectsMismatch) {
   ir::StencilProgram P = ir::makeJacobi2D(8, 2);
   GridStorage A(P), B(P);
-  EXPECT_EQ(GridStorage::compareAtStep(A, B, 1), "");
+  EXPECT_EQ(compareStoragesAtStep(A, B, 1), "");
   int64_t C[2] = {3, 3};
   B.at(0, 1, C) = 99.0f;
-  std::string Diff = GridStorage::compareAtStep(A, B, 1);
+  std::string Diff = compareStoragesAtStep(A, B, 1);
   EXPECT_NE(Diff.find("field 0"), std::string::npos);
   EXPECT_NE(Diff.find("(3, 3)"), std::string::npos);
   // The other slot still matches.
-  EXPECT_EQ(GridStorage::compareAtStep(A, B, 0), "");
+  EXPECT_EQ(compareStoragesAtStep(A, B, 0), "");
 }
 
 TEST(GridStorageTest, InBounds) {

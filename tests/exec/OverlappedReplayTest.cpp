@@ -53,11 +53,10 @@ TEST(OverlappedReplayTest, SerialBitExactAcrossGallery) {
 }
 
 TEST(OverlappedReplayTest, ThreadPoolShuffledBitExact) {
+  ThreadPoolBackend Pool(4, /*MinTaskInstances=*/1);
   ScheduleRunOptions Opts;
-  Opts.Backend = BackendKind::ThreadPool;
-  Opts.NumThreads = 4;
+  Opts.BackendOverride = &Pool;
   Opts.ShuffleSeed = 20260807;
-  Opts.MinTaskInstances = 1;
   for (const ir::StencilProgram &P : smallGallery()) {
     core::OverlappedSchedule S(P, /*BandSteps=*/2, /*TileWidth=*/6);
     EXPECT_EQ(checkOverlappedEquivalence(P, S, Opts), "") << P.name();
@@ -82,10 +81,10 @@ TEST(OverlappedReplayTest, RedundancyAccountsForEveryExtraInstance) {
 }
 
 TEST(OverlappedReplayTest, DeviceSimBandedBitExactAcrossGallery) {
+  DeviceSimBackend Devices(3u);
+  Devices.setMinTaskInstances(1);
   ScheduleRunOptions Opts;
-  Opts.Backend = BackendKind::DeviceSim;
-  Opts.NumDevices = 3;
-  Opts.MinTaskInstances = 1;
+  Opts.BackendOverride = &Devices;
   for (const ir::StencilProgram &P : smallGallery()) {
     core::OverlappedSchedule S(P, /*BandSteps=*/2, /*TileWidth=*/6);
     EXPECT_EQ(checkOverlappedEquivalence(P, S, Opts), "") << P.name();
@@ -96,9 +95,9 @@ TEST(OverlappedReplayTest, BandedCadenceExchangesOncePerBand) {
   ir::StencilProgram P = ir::makeJacobi1D(64, 8);
   core::OverlappedSchedule S(P, /*BandSteps=*/4, /*TileWidth=*/16);
   ReplayStats Stats;
+  DeviceSimBackend Devices(2u);
   ScheduleRunOptions Opts;
-  Opts.Backend = BackendKind::DeviceSim;
-  Opts.NumDevices = 2;
+  Opts.BackendOverride = &Devices;
   Opts.Stats = &Stats;
   EXPECT_EQ(checkOverlappedEquivalence(P, S, Opts), "");
   // 8 steps in bands of 4: two exchanges, where the per-wavefront cadence
@@ -119,9 +118,9 @@ TEST(OverlappedReplayTest, MeasuredBandedTrafficMatchesPrediction) {
     for (int64_t Band : {int64_t(2), int64_t(3)}) {
       core::OverlappedSchedule S(P, Band, /*TileWidth=*/8);
       ReplayStats Stats;
+      DeviceSimBackend Devices(2u);
       ScheduleRunOptions Opts;
-      Opts.Backend = BackendKind::DeviceSim;
-      Opts.NumDevices = 2;
+      Opts.BackendOverride = &Devices;
       Opts.Stats = &Stats;
 
       auto Storage = makeOverlappedStorage(P, S, Opts);
@@ -166,11 +165,22 @@ TEST(OverlappedReplayTest, RejectsStorageWithoutBandDeepRings) {
   // cannot host a deeper band: the replay must refuse, not corrupt.
   ir::StencilProgram P = ir::makeJacobi1D(64, 8);
   core::OverlappedSchedule S(P, /*BandSteps=*/3, /*TileWidth=*/16);
+  DeviceSimBackend Devices(2u);
   ScheduleRunOptions Opts;
-  Opts.Backend = BackendKind::DeviceSim;
-  Opts.NumDevices = 2;
-  auto Storage = makeStorage(P, Opts); // ExchangeCadenceSteps = 1.
+  Opts.BackendOverride = &Devices;
+  auto Storage = makeStorage(P, Opts); // Rings for a one-step cadence.
   EXPECT_THROW(runOverlapped(P, S, *Storage, Opts), std::invalid_argument);
+
+  // Flat storage has no rings at all: a DeviceSim replay over it must not
+  // quietly fall back to a single-address-space tile replay.
+  GridStorage Flat(P);
+  try {
+    runOverlapped(P, S, Flat, Opts);
+    FAIL() << "a DeviceSimBackend replayed flat storage";
+  } catch (const std::invalid_argument &E) {
+    EXPECT_NE(std::string(E.what()).find("'flat'"), std::string::npos)
+        << E.what();
+  }
 }
 
 TEST(OverlappedReplayTest, RejectsForeignProgram) {

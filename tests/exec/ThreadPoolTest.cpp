@@ -158,11 +158,10 @@ TEST(ThreadPoolBackendTest, BatchingBoundsPoolTasksOnSmallWavefronts) {
     ASSERT_NE(S.Key, nullptr) << harness::scheduleKindName(K);
 
     auto replay = [&](size_t MinTaskInstances, ReplayStats &Stats) {
+      ThreadPoolBackend Pool(4, MinTaskInstances);
       ScheduleRunOptions Opts;
       Opts.ParallelFrom = S.ParallelFrom;
-      Opts.Backend = BackendKind::ThreadPool;
-      Opts.NumThreads = 4;
-      Opts.MinTaskInstances = MinTaskInstances;
+      Opts.BackendOverride = &Pool;
       Opts.Stats = &Stats;
       EXPECT_EQ(checkScheduleEquivalence(P, S.Key, Opts), "")
           << harness::scheduleKindName(K)
@@ -225,16 +224,14 @@ TEST(ThreadPoolBackendTest, PooledReplayMatchesSerialReplayBitExact) {
   Opts.ParallelFrom = S.ParallelFrom;
 
   GridStorage Serial(P);
-  Opts.Backend = BackendKind::Serial;
   runSchedule(P, Serial, Domain, S.Key, Opts);
 
   GridStorage Pooled(P);
-  Opts.Backend = BackendKind::ThreadPool;
-  Opts.NumThreads = 4;
+  ThreadPoolBackend Pool(4);
+  Opts.BackendOverride = &Pool;
   runSchedule(P, Pooled, Domain, S.Key, Opts);
 
-  EXPECT_EQ(GridStorage::compareAtStep(Serial, Pooled, P.timeSteps() - 1),
-            "");
+  EXPECT_EQ(compareStoragesAtStep(Serial, Pooled, P.timeSteps() - 1), "");
 }
 
 TEST(ThreadPoolBackendTest, RacyIllegalTilingIsFlagged) {
@@ -257,14 +254,13 @@ TEST(ThreadPoolBackendTest, RacyIllegalTilingIsFlagged) {
 
   bool Caught = false;
   for (uint64_t Seed : {0x1111ull, 0x2222ull, 0x3333ull}) {
+    // Defeat the batching floor: the races live in small wavefronts, which
+    // the default floor would (correctly, for performance) run inline.
+    ThreadPoolBackend Pool(4, /*MinTaskInstances=*/1);
     ScheduleRunOptions Opts;
     Opts.ShuffleSeed = Seed;
     Opts.ParallelFrom = 1; // Everything inside the time band is "parallel".
-    Opts.Backend = BackendKind::ThreadPool;
-    Opts.NumThreads = 4;
-    // Defeat the batching floor: the races live in small wavefronts, which
-    // the default floor would (correctly, for performance) run inline.
-    Opts.MinTaskInstances = 1;
+    Opts.BackendOverride = &Pool;
     if (!checkScheduleEquivalence(P, S.Key, Opts).empty())
       Caught = true;
   }

@@ -113,12 +113,6 @@ private:
   std::string OldValue;
 };
 
-/// Names an emitted unit in diagnostics: flavor and program.
-std::string unitLabel(const ir::StencilProgram &P, codegen::EmitSchedule S) {
-  return "[emitted " + std::string(codegen::emitScheduleName(S)) +
-         "] program=" + P.name();
-}
-
 } // namespace
 
 std::string harness::runEntryDifferential(const ir::StencilProgram &P,
@@ -140,41 +134,23 @@ std::string harness::runEntryDifferential(const ir::StencilProgram &P,
          "emitted entry diverges from the row-major reference: " + Diff;
 }
 
-EmittedDiff harness::runEmittedDifferential(const ir::StencilProgram &P,
-                                            const codegen::CompiledHybrid &C,
-                                            codegen::EmitSchedule S,
-                                            const exec::Initializer &Init,
-                                            const std::string &Context) {
-  EmittedDiff Result;
-  EmittedUnit Unit;
-  std::string Err = Unit.build(P, C, S);
-  Result.Skipped = Unit.skipped();
-  if (Result.Skipped)
-    return Result;
-  if (!Err.empty()) {
-    Result.Message = Context.empty() ? Err : Context + ": " + Err;
-    return Result;
-  }
-  Result.Message = Unit.runDifferential(
-      Init, unitLabel(P, S) + (Context.empty() ? "" : " " + Context));
-  return Result;
-}
-
 std::string harness::EmittedUnit::build(const ir::StencilProgram &P,
                                         const codegen::CompiledHybrid &C,
                                         codegen::EmitSchedule S) {
   Program = P;
+  Label = "[emitted " + std::string(codegen::emitScheduleName(S)) +
+          "] program=" + P.name();
   if (!JitUnit::available()) {
     Skipped = true;
     return "no system C++ compiler";
   }
   if (std::string Err = Unit.build(codegen::emitHost(C, S)); !Err.empty())
-    return unitLabel(P, S) + ": " + Err;
+    return Label + ": " + Err;
   Entry = reinterpret_cast<void (*)(float **)>(
       Unit.symbol(codegen::hostEntryName(P)));
   if (!Entry) {
     Unit.keepArtifacts();
-    return unitLabel(P, S) + ": entry point " + codegen::hostEntryName(P) +
+    return Label + ": entry point " + codegen::hostEntryName(P) +
            " missing from the emitted unit (artifacts kept in " +
            Unit.workDir() + ")";
   }
@@ -186,12 +162,13 @@ std::string harness::EmittedUnit::runDifferential(
     int ShimThreads) {
   if (Skipped || !Entry)
     return "EmittedUnit::build did not produce a runnable entry";
+  std::string Labeled = Context.empty() ? Label : Label + " " + Context;
   std::string Diff;
   if (ShimThreads > 0) {
     EnvGuard Guard("HT_SHIM_THREADS", std::to_string(ShimThreads));
-    Diff = runEntryDifferential(Program, Entry, Init, Context);
+    Diff = runEntryDifferential(Program, Entry, Init, Labeled);
   } else {
-    Diff = runEntryDifferential(Program, Entry, Init, Context);
+    Diff = runEntryDifferential(Program, Entry, Init, Labeled);
   }
   if (!Diff.empty()) {
     Unit.keepArtifacts();

@@ -9,7 +9,7 @@
 /// translation unit HostEmitter produces, compiles it with the system C++
 /// compiler into a shared object, dlopens the result and drives the
 /// emitted `<name>_run` entry point over GridStorage-layout rotating
-/// buffers. runEmittedDifferential then compares the final fields
+/// buffers. EmittedUnit::runDifferential then compares the final fields
 /// bit-exactly against the naive reference executor -- so every loop
 /// bound, guard, skew table and buffer index the emitter produces is
 /// *executed*, not just snapshot-compared.
@@ -17,16 +17,16 @@
 /// The compile/load core (JitUnit) now lives in src/service -- it doubles
 /// as the compile backend of service::CompileService -- and is re-exported
 /// here under its historical harness name. This header adds the
-/// differential drivers on top: runEmittedDifferential (emit + build +
-/// run + compare in one call: EmittedUnit::build, then one
-/// EmittedUnit::runDifferential) and runEntryDifferential (compare an
+/// differential drivers on top: EmittedUnit (emit + build once, then
+/// compare as many runs as wanted) and runEntryDifferential (compare an
 /// already-loaded entry point, e.g. an artifact served by the compile
 /// service, against the reference executor).
 ///
 /// Machines without a usable compiler skip cleanly: available() is false,
-/// runEmittedDifferential reports Skipped and runs nothing. On a mismatch
-/// the scratch directory (kernel.cpp, cuda_shim.h, compile log, .so) is
-/// kept and named in the diagnostic so a failing seed reproduces offline:
+/// EmittedUnit::build reports skipped() and compiles nothing. On a
+/// mismatch the scratch directory (kernel.cpp, cuda_shim.h, compile log,
+/// .so) is kept and named in the diagnostic so a failing seed reproduces
+/// offline:
 ///   c++ -std=c++17 -O1 -fPIC -shared -pthread -o kernel.so kernel.cpp
 /// When the harness itself is a sanitizer build, the JIT compile matches
 /// it: -fsanitize=address under HEXTILE_SANITIZE=address (the emitted
@@ -34,10 +34,9 @@
 /// HEXTILE_SANITIZE=thread (the parallel shim's worker teams and barriers
 /// are raced under TSan).
 ///
-/// EmittedUnit is the multi-run form: build once, differential-run many
-/// times -- the parallel shim-thread sweep replays one compiled unit at
-/// several HT_SHIM_THREADS environment overrides instead of paying one
-/// JIT compile per thread count.
+/// Building once and running many times lets the parallel shim-thread
+/// sweep replay one compiled unit at several HT_SHIM_THREADS environment
+/// overrides instead of paying one JIT compile per thread count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,28 +57,6 @@ namespace harness {
 /// Historical name of the JIT compile/load core, now the service's
 /// compile backend (see service/JitUnit.h for the full contract).
 using JitUnit = service::JitUnit;
-
-/// Outcome of one emitted-kernel differential run.
-struct EmittedDiff {
-  /// True when nothing ran because no system compiler is available.
-  bool Skipped = false;
-  /// Empty on bit-exact agreement (or skip); else the full diagnostic
-  /// (program, flavor, seed context, first mismatch, kept artifact dir).
-  std::string Message;
-
-  bool agreed() const { return Message.empty(); }
-};
-
-/// Runs \p P through the naive reference executor and through the
-/// compiled-and-executed HostEmitter rendering of \p C as flavor \p S
-/// (both over buffers initialized by \p Init), comparing the final fields
-/// bit for bit. \p Context is prefixed to any diagnostic (the oracle puts
-/// the tiling/seed there so failures reproduce from the log alone).
-EmittedDiff runEmittedDifferential(const ir::StencilProgram &P,
-                                   const codegen::CompiledHybrid &C,
-                                   codegen::EmitSchedule S,
-                                   const exec::Initializer &Init,
-                                   const std::string &Context = "");
 
 /// Differential-tests an already-compiled entry point (signature
 /// `void(float **)`, GridStorage layout) for \p P against the naive
@@ -109,8 +86,9 @@ public:
   /// One differential run against the naive reference executor.
   /// \p ShimThreads > 0 exports HT_SHIM_THREADS for this run (the
   /// parallel pool re-shapes to that team size); 0 leaves the unit's
-  /// baked-in default. Returns "" on bit-exact agreement; on mismatch the
-  /// scratch directory is kept and named.
+  /// baked-in default. Returns "" on bit-exact agreement; on mismatch a
+  /// diagnostic labeled "[emitted <flavor>] program=<name> <Context>",
+  /// with the scratch directory kept and named.
   std::string runDifferential(const exec::Initializer &Init,
                               const std::string &Context,
                               int ShimThreads = 0);
@@ -118,6 +96,7 @@ public:
 private:
   JitUnit Unit;
   ir::StencilProgram Program;
+  std::string Label; ///< "[emitted <flavor>] program=<name>".
   void (*Entry)(float **) = nullptr;
   bool Skipped = false;
 };

@@ -45,23 +45,25 @@ TEST(HostKernelRunnerTest, RoundTripRunsEmittedUnit) {
   SKIP_WITHOUT_COMPILER();
   ir::StencilProgram P = ir::makeJacobi1D(40, 10);
   codegen::CompiledHybrid C = compileSmall(P, 2, 3, {});
-  EmittedDiff D = runEmittedDifferential(P, C, codegen::EmitSchedule::Hybrid,
-                                         exec::defaultInit, "unit-test");
-  EXPECT_FALSE(D.Skipped);
-  EXPECT_EQ(D.Message, "");
+  EmittedUnit Unit;
+  ASSERT_EQ(Unit.build(P, C, codegen::EmitSchedule::Hybrid), "");
+  EXPECT_FALSE(Unit.skipped());
+  EXPECT_EQ(Unit.runDifferential(exec::defaultInit, "unit-test"), "");
 }
 
 TEST(HostKernelRunnerTest, ReportsWithoutRunningWhenNoCompiler) {
   // The skip path itself must be exercised wherever a compiler *is*
-  // available too: a null-compiler run reports Skipped and no diagnostic.
+  // available too: a null-compiler build reports skipped() and its
+  // reason, and leaves nothing to run.
   if (JitUnit::available())
     GTEST_SKIP() << "compiler present; skip path covered on bare machines";
   ir::StencilProgram P = ir::makeJacobi1D(24, 4);
   codegen::CompiledHybrid C = compileSmall(P, 1, 2, {});
-  EmittedDiff D = runEmittedDifferential(P, C, codegen::EmitSchedule::Hybrid,
-                                         exec::defaultInit);
-  EXPECT_TRUE(D.Skipped);
-  EXPECT_EQ(D.Message, "");
+  EmittedUnit Unit;
+  EXPECT_EQ(Unit.build(P, C, codegen::EmitSchedule::Hybrid),
+            "no system C++ compiler");
+  EXPECT_TRUE(Unit.skipped());
+  EXPECT_NE(Unit.runDifferential(exec::defaultInit, ""), "");
 }
 
 TEST(HostKernelRunnerTest, CompileFailureKeepsArtifactsAndLog) {

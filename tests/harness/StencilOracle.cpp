@@ -21,6 +21,8 @@
 
 using namespace hextile;
 using namespace hextile::harness;
+using exec::mix64;
+using exec::permuteBlock;
 
 const char *harness::scheduleKindName(ScheduleKind K) {
   switch (K) {
@@ -53,26 +55,6 @@ std::string OracleTiling::str() const {
 }
 
 namespace {
-
-uint64_t mix64(uint64_t X) {
-  X ^= X >> 33;
-  X *= 0xff51afd7ed558ccdull;
-  X ^= X >> 33;
-  X *= 0xc4ceb9fe1a85ec53ull;
-  X ^= X >> 33;
-  return X;
-}
-
-/// Seeded hash of a block index; replaces the index in the schedule key so
-/// parallel blocks replay in a pseudo-random serialization. Hash collisions
-/// merely tie two blocks, which the executor then interleaves -- also a
-/// legal linearization of parallel blocks.
-int64_t permuteBlock(uint64_t Seed, int64_t Block) {
-  if (Seed == 0)
-    return Block;
-  return static_cast<int64_t>(
-      mix64(Seed ^ static_cast<uint64_t>(Block)) >> 1);
-}
 
 /// Classical widths for spatial dimensions 1..rank-1, extending the
 /// requested list with its last entry (or 4) when too short.
@@ -302,8 +284,13 @@ std::string runEmittedMechanism(const ir::StencilProgram &P, ScheduleKind K,
   std::ostringstream Ctx;
   Ctx << "tiling{" << T.str() << "} config{" << EC.str() << "} seed=0x"
       << std::hex << Opts.Seed;
-  EmittedDiff D = runEmittedDifferential(P, C, *ES, Init, Ctx.str());
-  return D.Message;
+  EmittedUnit Unit;
+  std::string Err = Unit.build(P, C, *ES);
+  if (Unit.skipped())
+    return "";
+  if (!Err.empty())
+    return Ctx.str() + ": " + Err;
+  return Unit.runDifferential(Init, Ctx.str());
 }
 
 } // namespace

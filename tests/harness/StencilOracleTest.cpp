@@ -233,6 +233,37 @@ TEST(StencilOracleTest, DetectsIllegalSchedule) {
       << "fully parallel replay never diverged -- oracle has no teeth";
 }
 
+/// The compiler's schedule key and the oracle's hybrid key permute the
+/// thread blocks with one hash (exec::permuteBlock), so a logged oracle
+/// seed serializes the blocks of a CompiledHybrid replay identically.
+TEST(StencilOracleTest, CompiledHybridKeyMatchesOracleHybridKey) {
+  ir::StencilProgram P = ir::makeHeat2D(20, 6);
+  OracleTiling T;
+  T.H = 2;
+  T.W0 = 3;
+  T.InnerWidths = {5};
+  const uint64_t Seed = 0x2545f4914f6cdd1dull;
+  exec::ScheduleKeyIntoFn Compiled =
+      compileOracleHybrid(P, T, {}).scheduleKey(Seed);
+  OracleSchedule Oracle =
+      makeOracleSchedule(P, ScheduleKind::Hybrid, T, Seed);
+  ASSERT_NE(Oracle.Key, nullptr);
+  std::vector<int64_t> A, B;
+  size_t Points = 0, Mismatches = 0;
+  core::IterationDomain::forProgram(P).forEachPoint(
+      [&](std::span<const int64_t> Pt) {
+        A.clear();
+        B.clear();
+        Compiled(Pt, A);
+        Oracle.Key(Pt, B);
+        ++Points;
+        if (A != B)
+          ++Mismatches;
+      });
+  EXPECT_GT(Points, 0u);
+  EXPECT_EQ(Mismatches, 0u) << "of " << Points << " points";
+}
+
 /// Agreement is invariant under the randomized initial values: two
 /// different seeds both pass (distinct data, same bit-exact verdict).
 TEST(StencilOracleTest, SeedVariationStaysBitExact) {

@@ -15,8 +15,10 @@ TEST(CoverageExtras, ParallelFromTruncatesKeyComparison) {
   // jacobi keyed by [t, s0] must still be correct because s0 within a step
   // is parallel.
   ir::StencilProgram P = ir::makeJacobi2D(12, 4);
-  exec::ScheduleKeyFn Key = [](std::span<const int64_t> Pt) {
-    return std::vector<int64_t>{Pt[0], Pt[1]};
+  exec::ScheduleKeyIntoFn Key = [](std::span<const int64_t> Pt,
+                                   std::vector<int64_t> &Out) {
+    Out.push_back(Pt[0]);
+    Out.push_back(Pt[1]);
   };
   exec::ScheduleRunOptions Opts;
   Opts.ParallelFrom = 1;
@@ -124,7 +126,7 @@ TEST(CoverageExtras, TileSelectionRejectsImpossibleBudget) {
 TEST(CoverageExtras, CompiledProgramsAreIndependent) {
   // Two compilations must not share mutable state: their schedule keys
   // stay usable after the compiler objects go out of scope.
-  exec::ScheduleKeyFn K1, K2;
+  exec::ScheduleKeyIntoFn K1, K2;
   {
     codegen::TileSizeRequest S1;
     S1.H = 1;

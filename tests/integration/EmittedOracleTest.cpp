@@ -124,8 +124,7 @@ TEST_P(EmittedOracleSweep, ParallelShimBitExactAllRungsAllThreadCounts) {
       for (int Threads : {1, 2, 4})
         EXPECT_EQ(Unit.runDifferential(
                       Init,
-                      std::string("[parallel shim] flavor=") +
-                          codegen::emitScheduleName(S) + " rung=" + R.Name +
+                      std::string("[parallel shim] rung=") + R.Name +
                           " threads=" + std::to_string(Threads),
                       Threads),
                   "");

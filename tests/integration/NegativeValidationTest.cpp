@@ -48,11 +48,12 @@ TEST(NegativeValidationTest, ExecutorCatchesUndersizedCone) {
   // serialization (reversed blocks make the violation deterministic).
   ir::StencilProgram P = ir::makeJacobi2D(24, 8);
   HybridSchedule Bad = forcedSchedule(Rational(0), Rational(1));
-  exec::ScheduleKeyFn Key = [&](std::span<const int64_t> Pt) {
+  exec::ScheduleKeyIntoFn Key = [&](std::span<const int64_t> Pt,
+                                    std::vector<int64_t> &Out) {
     HybridVector V = Bad.map(Pt);
     // Reverse the block order: with the undersized cone some consumer
     // tile now runs before its producer.
-    return std::vector<int64_t>{V.T, V.Phase, -V.S[0], V.S[1], V.LocalT};
+    Out.insert(Out.end(), {V.T, V.Phase, -V.S[0], V.S[1], V.LocalT});
   };
   EXPECT_NE(exec::checkScheduleEquivalence(P, Key), "");
 }
