@@ -260,18 +260,12 @@ int main(int argc, char **argv) {
               ++Failures;
               continue;
             }
-            // Time one bare execution over GridStorage-layout buffers.
-            int64_t PointsPerCopy = 1;
-            for (int64_t Sz : P.spaceSizes())
-              PointsPerCopy *= Sz;
-            std::vector<std::vector<float>> Buffers;
+            // Time one bare execution over GridStorage buffers.
+            exec::GridStorage Buffers(
+                P, [](unsigned, std::span<const int64_t>) { return 0.25f; });
             std::vector<float *> Ptrs;
-            for (unsigned F = 0; F < P.fields().size(); ++F) {
-              Buffers.emplace_back(
-                  static_cast<size_t>(P.bufferDepth(F)) * PointsPerCopy,
-                  0.25f);
-              Ptrs.push_back(Buffers.back().data());
-            }
+            for (unsigned F = 0; F < Buffers.numFields(); ++F)
+              Ptrs.push_back(Buffers.field(F).data());
             T0 = std::chrono::steady_clock::now();
             Entry(Ptrs.data());
             RunMs = msSince(T0);

@@ -7,6 +7,7 @@
 #include "exec/PartitionedGridStorage.h"
 
 #include <chrono>
+#include <numeric>
 #include <stdexcept>
 
 using namespace hextile;
@@ -222,10 +223,9 @@ void DeviceSimBackend::runWavefront(const ir::StencilProgram &P,
   });
 }
 
-void DeviceSimBackend::runOverlappedBand(const ir::StencilProgram &P,
-                                         PartitionedGridStorage &Parts,
-                                         const core::OverlappedSchedule &Sched,
-                                         int64_t Band) {
+size_t DeviceSimBackend::runOverlappedBand(
+    const ir::StencilProgram &P, PartitionedGridStorage &Parts,
+    const core::OverlappedSchedule &Sched, int64_t Band) {
   if (!Parts.bandedReplayMode() || Parts.haloSteps() < Sched.bandSteps())
     throw std::invalid_argument(
         "overlapped band replay needs a banded-mode PartitionedGridStorage "
@@ -241,6 +241,11 @@ void DeviceSimBackend::runOverlappedBand(const ir::StencilProgram &P,
   // so concurrent devices never touch shared memory: the band is race-free
   // with zero synchronization, redundancy instead of barriers. Phase 2 is
   // the band's single exchange (band-deep, deduplicated strips).
+  auto Executed = [&] {
+    return std::accumulate(DeviceInstances.begin(), DeviceInstances.end(),
+                           size_t(0));
+  };
+  size_t Before = Executed();
   runPhases(Parts, BandInstances, [&](unsigned Dev) {
     PartitionedGridStorage::DeviceView View(Parts, Dev);
     const gpu::SlabRange &Owned = Parts.owned(Dev);
@@ -249,4 +254,5 @@ void DeviceSimBackend::runOverlappedBand(const ir::StencilProgram &P,
     DeviceInstances[Dev] += Done.Instances;
     RedundantInstances[Dev] += Done.Redundant;
   });
+  return Executed() - Before;
 }

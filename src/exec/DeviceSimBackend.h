@@ -136,11 +136,12 @@ public:
   /// every device's expanded slab through the band's ticks with no
   /// intra-band barrier, phase 2 is the band's single halo exchange.
   /// Called between beginReplay/finishReplay like runWavefront; the
-  /// driver is exec::runOverlapped.
-  void runOverlappedBand(const ir::StencilProgram &P,
-                         PartitionedGridStorage &Parts,
-                         const core::OverlappedSchedule &Sched,
-                         int64_t Band);
+  /// driver is exec::runOverlapped. Returns the instances the band
+  /// executed over every device, redundant ones included.
+  size_t runOverlappedBand(const ir::StencilProgram &P,
+                           PartitionedGridStorage &Parts,
+                           const core::OverlappedSchedule &Sched,
+                           int64_t Band);
 
 private:
   void ensurePool(unsigned NumDevices);

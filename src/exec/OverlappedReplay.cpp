@@ -4,158 +4,60 @@
 
 #include "exec/DeviceSimBackend.h"
 #include "exec/PartitionedGridStorage.h"
-#include "support/MathExt.h"
 
 #include <algorithm>
-#include <cassert>
 #include <functional>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 using namespace hextile;
 using namespace hextile::exec;
 
 namespace {
 
-/// One tile's private window: core + band-entry footprint along dim 0,
-/// full grid extents on the inner dimensions, every rotating slot of every
-/// field -- laid out exactly like GridStorage so the band's ticks run
-/// through executeInstanceOn with slot arithmetic unchanged. Off-grid
-/// window cells exist but are never loaded, computed, or read (reads from
-/// update-domain cells stay inside the grid).
-class TileWindow {
-public:
-  void init(const ir::StencilProgram &P, int64_t Width) {
-    if (!Data.empty())
-      return;
-    Sizes = P.spaceSizes();
-    WinW = Width;
-    InnerPoints = 1;
-    for (unsigned D = 1; D < Sizes.size(); ++D)
-      InnerPoints *= Sizes[D];
-    WinPoints = WinW * InnerPoints;
-    unsigned NumFields = P.fields().size();
-    Depth.resize(NumFields);
-    FieldOffset.resize(NumFields);
-    int64_t Copies = 0;
-    for (unsigned F = 0; F < NumFields; ++F) {
-      Depth[F] = P.bufferDepth(F);
-      FieldOffset[F] = Copies;
-      Copies += Depth[F];
-    }
-    Data.assign(static_cast<size_t>(Copies * WinPoints), 0.0f);
-  }
-
-  void setBase(int64_t Lo) { WinLo = Lo; }
-
-  float read(unsigned Field, int64_t T, std::span<const int64_t> C) const {
-    return Data[index(Field, T, C)];
-  }
-  void write(unsigned Field, int64_t T, std::span<const int64_t> C, float V) {
-    Data[index(Field, T, C)] = V;
-  }
-
-private:
-  size_t index(unsigned Field, int64_t T, std::span<const int64_t> C) const {
-    int64_t Slot = euclidMod(T, Depth[Field]);
-    int64_t W0 = C[0] - WinLo;
-    assert(W0 >= 0 && W0 < WinW && "read/write outside the tile window");
-    int64_t Linear = W0;
-    for (unsigned D = 1; D < Sizes.size(); ++D)
-      Linear = Linear * Sizes[D] + C[D];
-    return static_cast<size_t>((FieldOffset[Field] + Slot) * WinPoints +
-                               Linear);
-  }
-
-  std::vector<int64_t> Sizes;
-  std::vector<unsigned> Depth;
-  std::vector<int64_t> FieldOffset;
-  int64_t WinLo = 0;
-  int64_t WinW = 0;
-  int64_t InnerPoints = 0;
-  int64_t WinPoints = 0;
-  std::vector<float> Data;
-};
-
-uint64_t splitmix64(uint64_t &State) {
-  State += 0x9e3779b97f4a7c15ULL;
-  uint64_t Z = State;
-  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
-  return Z ^ (Z >> 31);
-}
-
-/// The flat-storage replay: private windows, two phases per band, on the
-/// backend's pool when it has one (a ThreadPoolBackend), else serially.
+/// The flat-storage replay: a private window per tile, two phases per
+/// band, on the backend's pool when it has one (a ThreadPoolBackend), else
+/// serially.
 void runOverlappedTiled(const ir::StencilProgram &P,
                         const core::OverlappedSchedule &Sched,
-                        FieldStorage &Storage, ExecutionBackend &Backend,
+                        GridStorage &Storage, ExecutionBackend &Backend,
                         const ScheduleRunOptions &Opts) {
-  const std::vector<int64_t> &Sizes = P.spaceSizes();
-  unsigned Rank = P.spaceRank();
   int64_t NumTiles = Sched.numTiles();
-  int64_t WinW = Sched.tileWidth() + Sched.footLo() + Sched.footHi();
-  int64_t InnerAll = 1;
-  for (unsigned D = 1; D < Rank; ++D)
-    InnerAll *= Sizes[D];
-
-  std::vector<TileWindow> Windows(static_cast<size_t>(NumTiles));
+  // Each tile's window holds its footprint rows: the core plus the
+  // band-entry halos, clipped to the grid.
+  std::vector<GridStorage> Windows;
+  Windows.reserve(static_cast<size_t>(NumTiles));
+  for (int64_t Tile = 0; Tile < NumTiles; ++Tile)
+    Windows.emplace_back(P, Initializer(), Sched.tileLo(Tile) - Sched.footLo(),
+                         Sched.tileHi(Tile) + Sched.footHi());
   std::vector<TrapezoidCounts> TileDone(static_cast<size_t>(NumTiles));
 
-  // Tile execution order: shuffled when seeded, to prove order freedom the
-  // same way wavefront replays shuffle instances.
+  // Tile execution order: seeded by the replay's block hash, to prove
+  // order freedom the same way wavefront replays shuffle instances.
   std::vector<int64_t> Order(static_cast<size_t>(NumTiles));
   std::iota(Order.begin(), Order.end(), 0);
-  if (Opts.ShuffleSeed != 0) {
-    uint64_t State = Opts.ShuffleSeed;
-    for (size_t I = Order.size(); I > 1; --I)
-      std::swap(Order[I - 1], Order[splitmix64(State) % I]);
-  }
+  std::sort(Order.begin(), Order.end(), [&](int64_t A, int64_t B) {
+    return std::pair(permuteBlock(Opts.ShuffleSeed, A), A) <
+           std::pair(permuteBlock(Opts.ShuffleSeed, B), B);
+  });
 
-  int64_t NumBands = Sched.numBands(P.timeSteps());
-
-  // Copies dimension-0 columns [Lo, Hi) -- every slot of every field, full
-  // inner extents -- from Src to Dst: a tile's stage-in (slot-image copies:
-  // reading time T = s hits slot s for s < depth) and its write-back.
-  auto Copy = [&](int64_t Lo, int64_t Hi, const auto &Src, auto &Dst) {
-    std::vector<int64_t> C(Rank, 0);
-    std::span<const int64_t> CS(C.data(), Rank);
-    for (unsigned F = 0; F < P.fields().size(); ++F)
-      for (unsigned S = 0; S < P.bufferDepth(F); ++S)
-        for (int64_t C0 = Lo; C0 < Hi; ++C0) {
-          C[0] = C0;
-          for (int64_t J = 0; J < InnerAll; ++J) {
-            int64_t Rem = J;
-            for (unsigned D = Rank; D-- > 1;) {
-              C[D] = Rem % Sizes[D];
-              Rem /= Sizes[D];
-            }
-            Dst.write(F, S, CS, Src.read(F, S, CS));
-          }
-        }
-  };
-
-  // Phase 1 of one band for one tile: stage the footprint and run the
-  // band's ticks entirely inside the window.
+  // Phase 1 of one band for one tile: stage the footprint (slot images:
+  // reading time T = s hits slot s for s < depth) and run the band's ticks
+  // entirely inside the window.
   auto LoadCompute = [&](int64_t Tile, int64_t Band) {
-    TileWindow &Win = Windows[static_cast<size_t>(Tile)];
-    Win.init(P, WinW);
-    int64_t WinLo = Sched.tileLo(Tile) - Sched.footLo();
-    Win.setBase(WinLo);
-    Copy(std::max<int64_t>(0, WinLo),
-         std::min<int64_t>(Sizes[0], WinLo + WinW), Storage, Win);
-    TrapezoidCounts Done = runTrapezoid(P, Sched, Band, Sched.tileLo(Tile),
-                                        Sched.tileHi(Tile), Win);
-    TileDone[static_cast<size_t>(Tile)].Instances += Done.Instances;
-    TileDone[static_cast<size_t>(Tile)].Redundant += Done.Redundant;
+    GridStorage &Win = Windows[static_cast<size_t>(Tile)];
+    Win.copyRows(Storage, Win.rowLo(), Win.rowHi());
+    TileDone[static_cast<size_t>(Tile)] = runTrapezoid(
+        P, Sched, Band, Sched.tileLo(Tile), Sched.tileHi(Tile), Win);
   };
 
-  // Phase 2: write the core column back, every slot of every field (cells
+  // Phase 2: write the core rows back, every slot of every field (cells
   // a band never wrote copy their own staged value -- identity). Cores
   // are disjoint, so concurrent tiles never collide.
   auto WriteBack = [&](int64_t Tile) {
-    Copy(Sched.tileLo(Tile), Sched.tileHi(Tile),
-         Windows[static_cast<size_t>(Tile)], Storage);
+    Storage.copyRows(Windows[static_cast<size_t>(Tile)], Sched.tileLo(Tile),
+                     Sched.tileHi(Tile));
   };
 
   auto *Pooled = dynamic_cast<ThreadPoolBackend *>(&Backend);
@@ -175,22 +77,30 @@ void runOverlappedTiled(const ir::StencilProgram &P,
     Pool->parallelFor(static_cast<size_t>(NumTiles),
                       [&](size_t I) { Fn(Order[I]); });
   };
+  int64_t NumBands = Sched.numBands(P.timeSteps());
+  TrapezoidCounts Total;
+  size_t Peak = 0;
   Backend.beginReplay();
   for (int64_t Band = 0; Band < NumBands; ++Band) {
     EachTile([&](int64_t Tile) { LoadCompute(Tile, Band); });
     EachTile(WriteBack);
+    size_t Executed = 0;
+    for (const TrapezoidCounts &Done : TileDone) {
+      Executed += Done.Instances;
+      Total.Redundant += Done.Redundant;
+    }
+    Total.Instances += Executed;
+    Peak = std::max(Peak, Executed);
   }
 
   Backend.finishReplay(Opts.Stats); // the pool's dispatched tasks
   if (ReplayStats *Stats = Opts.Stats) {
-    for (const TrapezoidCounts &Done : TileDone) {
-      Stats->Instances += Done.Instances;
-      Stats->RedundantInstances += Done.Redundant;
-    }
+    Stats->Instances = Total.Instances;
+    Stats->RedundantInstances = Total.Redundant;
     Stats->Bands = static_cast<size_t>(NumBands);
     Stats->Wavefronts = static_cast<size_t>(NumBands) * 2; // two phases
-    Stats->PeakBandInstances = NumBands ? Stats->Instances / NumBands : 0;
-    Stats->MaxWavefrontInstances = Stats->PeakBandInstances;
+    // A band's phase 1 is one parallel batch, its largest resident set.
+    Stats->PeakBandInstances = Stats->MaxWavefrontInstances = Peak;
   }
 }
 
@@ -202,14 +112,16 @@ void runOverlappedBanded(const ir::StencilProgram &P,
                          DeviceSimBackend &Backend, ReplayStats *Stats) {
   Parts.setBandedReplayMode(true);
   int64_t NumBands = Sched.numBands(P.timeSteps());
+  size_t Peak = 0;
   Backend.beginReplay();
   for (int64_t Band = 0; Band < NumBands; ++Band)
-    Backend.runOverlappedBand(P, Parts, Sched, Band);
+    Peak = std::max(Peak, Backend.runOverlappedBand(P, Parts, Sched, Band));
   Backend.finishReplay(Stats);
 
   if (Stats) {
     Stats->Bands = static_cast<size_t>(NumBands);
     Stats->Wavefronts = static_cast<size_t>(NumBands);
+    Stats->PeakBandInstances = Stats->MaxWavefrontInstances = Peak;
     for (const DeviceReplayStats &D : Stats->PerDevice)
       Stats->Instances += D.Instances;
   }
@@ -255,20 +167,22 @@ void exec::runOverlapped(const ir::StencilProgram &P,
   SerialBackend Serial;
   ExecutionBackend &Backend =
       Opts.BackendOverride ? *Opts.BackendOverride : Serial;
+  auto *Flat = dynamic_cast<GridStorage *>(&Storage);
   auto *Parts = dynamic_cast<PartitionedGridStorage *>(&Storage);
   auto *Devices = dynamic_cast<DeviceSimBackend *>(&Backend);
-  if (!Parts != !Devices)
+  if (Devices ? !Parts : !Flat)
     throw std::invalid_argument(
         "overlapped replay of storage kind '" + std::string(Storage.kind()) +
         "' on backend '" + Backend.name() +
-        "': partitioned storage (exec::makeOverlappedStorage) and a "
-        "DeviceSimBackend need each other");
+        "': flat storage replays on a serial or thread-pool backend, "
+        "partitioned storage (exec::makeOverlappedStorage) on a "
+        "DeviceSimBackend");
   if (Opts.Stats)
     *Opts.Stats = ReplayStats{};
-  if (Parts)
+  if (Devices)
     runOverlappedBanded(P, Sched, *Parts, *Devices, Opts.Stats);
   else
-    runOverlappedTiled(P, Sched, Storage, Backend, Opts);
+    runOverlappedTiled(P, Sched, *Flat, Backend, Opts);
 }
 
 std::string

@@ -15,21 +15,23 @@
 /// same trapezoid loop (runTrapezoid):
 ///
 ///  * On flat storage (GridStorage), each time band runs as two phases.
-///    Phase 1: every tile copies its footprint (core + band-entry halos,
-///    all rotating slots) into a private window buffer and runs the band's
-///    ticks there, margins shrinking tick by tick -- tiles share nothing,
-///    so the serial and thread-pool replays need no intra-band barrier and
-///    tile order is freely shuffleable. Phase 2: every tile writes its
-///    core column (all slots) back; cores are disjoint, so phase 2 is
+///    Phase 1: every tile copies its footprint rows (core + band-entry
+///    halos, all rotating slots) into a private window -- a GridStorage
+///    holding just those rows, staged with copyRows -- and runs the band's
+///    ticks there, margins shrinking tick by tick; tiles share nothing, so
+///    the serial and thread-pool replays need no intra-band barrier and
+///    tile order is freely shuffleable. Phase 2: every tile copies its
+///    core rows (all slots) back; cores are disjoint, so phase 2 is
 ///    race-free too. The band boundary is the only barrier.
 ///
 ///  * On partitioned storage, which only a DeviceSimBackend runs on and
-///    which it always needs, each band is a device-level trapezoid: DeviceSimBackend::runOverlappedBand computes every
-///    device's expanded slab with no intra-band barrier and exchanges
-///    halos once per band over band-deep rings, through the same two-phase
-///    driver its wavefronts use -- the banded exchange cadence, saving
-///    (wavefronts - bands) alpha-term rounds per link at the price of
-///    redundant instances and band-deep strips.
+///    which it always needs, each band is a device-level trapezoid:
+///    DeviceSimBackend::runOverlappedBand computes every device's expanded
+///    slab (a GridStorage over the slab rows) with no intra-band barrier
+///    and exchanges halos once per band over band-deep rings, through the
+///    same two-phase driver its wavefronts use -- the banded exchange
+///    cadence, saving (wavefronts - bands) alpha-term rounds per link at
+///    the price of redundant instances and band-deep strips.
 ///
 /// Either way the replay is validated like every other family: bit-exact
 /// against the naive reference (ReplayStats::RedundantInstances records
@@ -62,13 +64,15 @@ makeOverlappedStorage(const ir::StencilProgram &P,
 
 /// Replays every time step of \p P under the overlapped schedule \p Sched
 /// on Opts.BackendOverride (Serial when null, ThreadPool, DeviceSim).
-/// Honors Opts.ShuffleSeed (tile execution order on flat storage), the
-/// backend's batching floor (bands small enough retire inline) and
-/// Opts.Stats. A DeviceSimBackend runs only on partitioned storage built
-/// by makeOverlappedStorage (rings provisioned for the band height), and
-/// partitioned storage only on a DeviceSimBackend. \p Sched must have been
-/// built for \p P's program and grid extents; anything else is rejected
-/// with std::invalid_argument.
+/// Honors Opts.ShuffleSeed (tile execution order on flat storage, by
+/// permuteBlock), the backend's batching floor (bands small enough retire
+/// inline) and Opts.Stats, whose PeakBandInstances and
+/// MaxWavefrontInstances are the largest band's instances. A
+/// DeviceSimBackend runs only on partitioned storage built by
+/// makeOverlappedStorage (rings provisioned for the band height), the
+/// serial and thread-pool backends only on a GridStorage. \p Sched must
+/// have been built for \p P's program and grid extents; anything else is
+/// rejected with std::invalid_argument.
 void runOverlapped(const ir::StencilProgram &P,
                    const core::OverlappedSchedule &Sched,
                    FieldStorage &Storage,
@@ -83,8 +87,8 @@ struct TrapezoidCounts {
 /// Phase 1 of one participant in time band \p Band of \p Sched: runs the
 /// band's ticks over the dimension-0 core [CoreLo, CoreHi), widened tick by
 /// tick by the schedule's shrinking margins and clipped to the update
-/// domain, against \p Storage -- a tile's private window on flat storage,
-/// a device's slab view on partitioned storage. Templated over the storage
+/// domain, against \p Storage -- a tile's window rows on flat storage, a
+/// device's slab view on partitioned storage. Templated over the storage
 /// type like executeInstanceOn, so a final class inlines its reads and
 /// writes.
 template <class StorageT>

@@ -10,8 +10,10 @@
 /// device (weighted by SM count, DeviceTopology::planSlabs), and every
 /// device additionally replicates *halo rings* of its neighbors' boundary
 /// cells, sized by the stencil's read reach (core::partitionHaloExtent).
-/// A device therefore touches only its own allocation: reads resolve in
-/// the owned slab or the rings, writes land in owned cells only.
+/// Each device's allocation is a GridStorage over its slab rows -- owned
+/// cells plus rings, in the one rotating-buffer layout, indexed by grid
+/// coordinates -- so a device touches only its own allocation: reads
+/// resolve in the owned slab or the rings, writes land in owned cells only.
 ///
 /// Inter-device traffic is explicit. Writes into the strip of owned cells
 /// that a neighbor replicates are recorded as *dirty*; each device's
@@ -36,6 +38,7 @@
 #define HEXTILE_EXEC_PARTITIONEDGRIDSTORAGE_H
 
 #include "exec/FieldStorage.h"
+#include "exec/GridStorage.h"
 #include "gpu/DeviceTopology.h"
 #include "ir/StencilProgram.h"
 
@@ -65,9 +68,15 @@ public:
 
   // --- FieldStorage (global, always-coherent view) ----------------------
   const char *kind() const override { return "partitioned"; }
-  unsigned numFields() const override { return Depth.size(); }
-  unsigned depth(unsigned Field) const override { return Depth[Field]; }
-  const std::vector<int64_t> &sizes() const override { return Sizes; }
+  unsigned numFields() const override {
+    return Slabs.front().Rows.numFields();
+  }
+  unsigned depth(unsigned Field) const override {
+    return Slabs.front().Rows.depth(Field);
+  }
+  const std::vector<int64_t> &sizes() const override {
+    return Slabs.front().Rows.sizes();
+  }
   float read(unsigned Field, int64_t T,
              std::span<const int64_t> Coords) const override;
   void write(unsigned Field, int64_t T, std::span<const int64_t> Coords,
@@ -166,27 +175,20 @@ public:
   };
 
 private:
-  /// One device's allocation: owned cells plus halo rings, stored as the
-  /// contiguous global-index range [SlabLo*Inner, SlabHi*Inner) per copy.
+  /// One device's allocation: its slab rows -- owned cells plus halo rings,
+  /// clipped to the grid -- in the flat rotating-buffer layout.
   struct DeviceSlab {
     gpu::SlabRange Owned;
-    int64_t SlabLo = 0; ///< Owned.Lo - haloLo, clamped to 0.
-    int64_t SlabHi = 0; ///< Owned.Hi + haloHi, clamped to size0.
-    std::vector<float> Data;
+    GridStorage Rows; ///< [Owned.Lo - haloLo, Owned.Hi + haloHi).
     std::vector<DirtyCell> DirtyDown; ///< For neighbor Dev-1's upper ring.
     std::vector<DirtyCell> DirtyUp;   ///< For neighbor Dev+1's lower ring.
   };
 
-  int64_t globalIndex(std::span<const int64_t> Coords) const;
-  float &cell(DeviceSlab &S, unsigned Field, unsigned Slot, int64_t Global);
-  float cell(const DeviceSlab &S, unsigned Field, unsigned Slot,
-             int64_t Global) const;
-  unsigned slotOf(unsigned Field, int64_t T) const;
+  /// Copies \p Dirty's cells from slab \p From into slab \p To and clears
+  /// the list; returns the values moved.
+  size_t push(std::vector<DirtyCell> &Dirty, const GridStorage &From,
+              GridStorage &To);
 
-  std::vector<int64_t> Sizes;
-  std::vector<unsigned> Depth;
-  std::vector<int64_t> FieldOffset; ///< Per-field start, in copies.
-  int64_t InnerPoints = 0;  ///< Points per dim-0 row (product of sizes 1..).
   int64_t HaloLo = 0;
   int64_t HaloHi = 0;
   int64_t HaloSteps = 1;

@@ -4,6 +4,7 @@
 
 #include "core/IterationDomain.h"
 #include "deps/DeltaBounds.h"
+#include "exec/GridStorage.h"
 
 #include <algorithm>
 #include <chrono>
@@ -56,21 +57,15 @@ service::CompileRequest makeRequest(const ir::StencilProgram &P,
 double measureGStencils(service::KernelEntryFn Entry,
                         const ir::StencilProgram &P, int Warmups,
                         int Samples) {
-  int64_t PointsPerCopy = 1;
-  for (int64_t Sz : P.spaceSizes())
-    PointsPerCopy *= Sz;
-  std::vector<std::vector<float>> Buffers;
+  exec::GridStorage Buffers(P, {});
   std::vector<float *> Ptrs;
-  for (unsigned F = 0; F < P.fields().size(); ++F) {
-    Buffers.emplace_back(
-        static_cast<size_t>(P.bufferDepth(F)) * PointsPerCopy, 0.25f);
-    Ptrs.push_back(Buffers.back().data());
-  }
+  for (unsigned F = 0; F < Buffers.numFields(); ++F)
+    Ptrs.push_back(Buffers.field(F).data());
   int64_t Instances = core::IterationDomain::forProgram(P).numPoints();
 
   auto RunOnce = [&] {
-    for (std::vector<float> &B : Buffers)
-      std::fill(B.begin(), B.end(), 0.25f);
+    for (unsigned F = 0; F < Buffers.numFields(); ++F)
+      std::ranges::fill(Buffers.field(F), 0.25f);
     Clock::time_point T0 = Clock::now();
     Entry(Ptrs.data());
     return msSince(T0);

@@ -154,3 +154,52 @@ TEST(GridStorageTest, PartitionedNeverUpdatedBoundaryReadsConsistently) {
   int64_t Corner[2] = {0, 0};
   EXPECT_FLOAT_EQ(Parts.readOn(0, 0, 5, Corner), Flat.at(0, 5, Corner));
 }
+
+TEST(GridStorageTest, RowRangesShareTheWholeGridLayout) {
+  // One layout over any rows of dimension 0: a row range reads what the
+  // whole grid reads, copyRows moves exactly the rows asked for between
+  // storages holding different ranges, and field() is the [slot][row-major
+  // grid] buffer the emitted entry point indexes (ht_fields[F]).
+  ir::StencilProgram P = ir::makeFdtd2D(8, 2);
+  GridStorage Whole(P), Rows(P, defaultInit, 2, 6), Other(P, {}, 3, 99);
+  EXPECT_EQ(Rows.rowLo(), 2);
+  EXPECT_EQ(Rows.rowHi(), 6);
+  EXPECT_EQ(Other.rowHi(), 8); // Clipped to the grid.
+  auto EachCell = [&](int64_t Lo, int64_t Hi, const auto &Fn) {
+    for (int64_t I = Lo; I < Hi; ++I)
+      for (int64_t J = 0; J < 8; ++J)
+        for (unsigned F = 0; F < P.fields().size(); ++F)
+          for (unsigned S = 0; S < P.bufferDepth(F); ++S) {
+            int64_t C[2] = {I, J};
+            Fn(F, S, std::span<const int64_t>(C));
+          }
+  };
+  auto Distinct = [](unsigned F, unsigned S, std::span<const int64_t> C) {
+    return static_cast<float>(F * 1000 + S * 100 + C[0] * 10 + C[1]);
+  };
+
+  EachCell(2, 6, [&](unsigned F, unsigned S, std::span<const int64_t> C) {
+    EXPECT_EQ(Rows.at(F, S, C), Whole.at(F, S, C)) << F << "/" << S;
+  });
+
+  EachCell(2, 6, [&](unsigned F, unsigned S, std::span<const int64_t> C) {
+    Rows.at(F, S, C) = Distinct(F, S, C);
+  });
+  Other.copyRows(Rows, 3, 5);
+  EachCell(3, 8, [&](unsigned F, unsigned S, std::span<const int64_t> C) {
+    EXPECT_EQ(Other.at(F, S, C), C[0] < 5 ? Distinct(F, S, C) : 0.0f)
+        << "row " << C[0] << " field " << F << " slot " << S;
+  });
+
+  EachCell(0, 8, [&](unsigned F, unsigned S, std::span<const int64_t> C) {
+    Whole.at(F, S, C) = Distinct(F, S, C);
+  });
+  const int64_t PointsPerCopy = 8 * 8;
+  for (unsigned F = 0; F < P.fields().size(); ++F)
+    EXPECT_EQ(Whole.field(F).size(),
+              static_cast<size_t>(P.bufferDepth(F) * PointsPerCopy));
+  EachCell(0, 8, [&](unsigned F, unsigned S, std::span<const int64_t> C) {
+    EXPECT_EQ(Whole.field(F)[S * PointsPerCopy + Whole.rowMajor(C)],
+              Whole.at(F, S, C));
+  });
+}

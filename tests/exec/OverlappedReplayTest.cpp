@@ -80,6 +80,29 @@ TEST(OverlappedReplayTest, RedundancyAccountsForEveryExtraInstance) {
   EXPECT_EQ(Stats.Bands, 2u);
 }
 
+TEST(OverlappedReplayTest, PeakCountersReportTheLargestBand) {
+  // jacobi1d(64, 8) in 3-step bands runs bands of 3, 3 and 2 steps over
+  // its 62-cell update domain. A full band executes 3 x 62 canonical
+  // instances plus margins of 2, 1 and 0 cells on either side of every
+  // cut: 186 + 6 per cut. Four 16-wide tiles have three cuts (204), two
+  // devices one (192); the mean band is smaller on both paths.
+  ir::StencilProgram P = ir::makeJacobi1D(64, 8);
+  core::OverlappedSchedule S(P, /*BandSteps=*/3, /*TileWidth=*/16);
+  ReplayStats Tiled, Banded;
+  ScheduleRunOptions Opts;
+  Opts.Stats = &Tiled;
+  EXPECT_EQ(checkOverlappedEquivalence(P, S, Opts), "");
+  DeviceSimBackend Devices(2u);
+  Opts.BackendOverride = &Devices;
+  Opts.Stats = &Banded;
+  EXPECT_EQ(checkOverlappedEquivalence(P, S, Opts), "");
+
+  EXPECT_EQ(Tiled.PeakBandInstances, 204u);
+  EXPECT_EQ(Tiled.MaxWavefrontInstances, 204u);
+  EXPECT_EQ(Banded.PeakBandInstances, 192u);
+  EXPECT_EQ(Banded.MaxWavefrontInstances, 192u);
+}
+
 TEST(OverlappedReplayTest, DeviceSimBandedBitExactAcrossGallery) {
   DeviceSimBackend Devices(3u);
   Devices.setMinTaskInstances(1);

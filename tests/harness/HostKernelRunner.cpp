@@ -6,7 +6,6 @@
 #include "exec/GridStorage.h"
 
 #include <cstdlib>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -14,80 +13,6 @@ using namespace hextile;
 using namespace hextile::harness;
 
 namespace {
-
-/// FieldStorage view over the flat rotating buffers the emitted entry
-/// point ran on (GridStorage layout), so the oracle's bit-exact
-/// compareStoragesAtStep works unchanged.
-class FlatBufferStorage final : public exec::FieldStorage {
-public:
-  FlatBufferStorage(const ir::StencilProgram &P,
-                    const exec::Initializer &Init)
-      : Extents(P.spaceSizes()) {
-    PointsPerCopy = 1;
-    for (int64_t S : Extents)
-      PointsPerCopy *= S;
-    Buffers.resize(P.fields().size());
-    Depths.resize(P.fields().size());
-    for (unsigned F = 0; F < P.fields().size(); ++F) {
-      Depths[F] = P.bufferDepth(F);
-      Buffers[F].resize(static_cast<size_t>(Depths[F]) * PointsPerCopy);
-    }
-    // Same contract as GridStorage: every rotating copy starts from the
-    // same per-point initial value (boundary cells included).
-    std::vector<int64_t> Coords(Extents.size(), 0);
-    std::function<void(unsigned)> Fill = [&](unsigned Dim) {
-      if (Dim == Extents.size()) {
-        for (unsigned F = 0; F < Buffers.size(); ++F) {
-          float V = Init(F, Coords);
-          for (unsigned D = 0; D < Depths[F]; ++D)
-            Buffers[F][D * PointsPerCopy + linear(Coords)] = V;
-        }
-        return;
-      }
-      for (int64_t I = 0; I < Extents[Dim]; ++I) {
-        Coords[Dim] = I;
-        Fill(Dim + 1);
-      }
-    };
-    Fill(0);
-  }
-
-  /// The per-field base pointers the emitted entry point consumes.
-  std::vector<float *> fieldPointers() {
-    std::vector<float *> Ptrs;
-    for (std::vector<float> &B : Buffers)
-      Ptrs.push_back(B.data());
-    return Ptrs;
-  }
-
-  const char *kind() const override { return "jit-flat"; }
-  unsigned numFields() const override { return Buffers.size(); }
-  unsigned depth(unsigned Field) const override { return Depths[Field]; }
-  const std::vector<int64_t> &sizes() const override { return Extents; }
-  float read(unsigned Field, int64_t T,
-             std::span<const int64_t> Coords) const override {
-    return Buffers[Field][euclidMod(T, Depths[Field]) * PointsPerCopy +
-                          linear(Coords)];
-  }
-  void write(unsigned Field, int64_t T, std::span<const int64_t> Coords,
-             float V) override {
-    Buffers[Field][euclidMod(T, Depths[Field]) * PointsPerCopy +
-                   linear(Coords)] = V;
-  }
-
-private:
-  int64_t linear(std::span<const int64_t> Coords) const {
-    int64_t L = 0;
-    for (unsigned D = 0; D < Extents.size(); ++D)
-      L = L * Extents[D] + Coords[D];
-    return L;
-  }
-
-  std::vector<int64_t> Extents;
-  int64_t PointsPerCopy = 0;
-  std::vector<unsigned> Depths;
-  std::vector<std::vector<float>> Buffers;
-};
 
 /// Scoped environment override, restoring the previous value (or the
 /// unset state) on destruction.
@@ -122,8 +47,10 @@ std::string harness::runEntryDifferential(const ir::StencilProgram &P,
   exec::GridStorage Ref(P, Init);
   exec::runReference(P, Ref);
 
-  FlatBufferStorage Got(P, Init);
-  std::vector<float *> Ptrs = Got.fieldPointers();
+  exec::GridStorage Got(P, Init);
+  std::vector<float *> Ptrs;
+  for (unsigned F = 0; F < Got.numFields(); ++F)
+    Ptrs.push_back(Got.field(F).data());
   Entry(Ptrs.data());
 
   std::string Diff =

@@ -8,11 +8,11 @@
 /// The test-time JIT behind the oracle's fourth mechanism: takes the C++
 /// translation unit HostEmitter produces, compiles it with the system C++
 /// compiler into a shared object, dlopens the result and drives the
-/// emitted `<name>_run` entry point over GridStorage-layout rotating
-/// buffers. EmittedUnit::runDifferential then compares the final fields
-/// bit-exactly against the naive reference executor -- so every loop
-/// bound, guard, skew table and buffer index the emitter produces is
-/// *executed*, not just snapshot-compared.
+/// emitted `<name>_run` entry point on an exec::GridStorage, passing
+/// field(F) as ht_fields[F]. EmittedUnit::runDifferential then compares
+/// that storage bit-exactly against the naive reference executor's -- so
+/// every loop bound, guard, skew table and buffer index the emitter
+/// produces is *executed*, not just snapshot-compared.
 ///
 /// The compile/load core (JitUnit) now lives in src/service -- it doubles
 /// as the compile backend of service::CompileService -- and is re-exported
@@ -59,9 +59,10 @@ namespace harness {
 using JitUnit = service::JitUnit;
 
 /// Differential-tests an already-compiled entry point (signature
-/// `void(float **)`, GridStorage layout) for \p P against the naive
-/// reference executor -- the check the service stress tests apply to
-/// cached/deduped artifacts without paying for a second JIT build.
+/// `void(float **)`, run on GridStorage::field buffers) for \p P against
+/// the naive reference executor -- the check the service stress tests
+/// apply to cached/deduped artifacts without paying for a second JIT
+/// build.
 /// Returns "" on bit-exact agreement, else a diagnostic prefixed with
 /// \p Context.
 std::string runEntryDifferential(const ir::StencilProgram &P,
