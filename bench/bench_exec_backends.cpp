@@ -17,8 +17,11 @@
 // --smoke shrinks everything for the ctest -L bench entry and gates two
 // regressions on best-of-5 times: pooled classical replay losing to serial,
 // and serial hex or hybrid replay exceeding 2.5x serial classical + 2 ms.
-// --json mirrors the table into the repo's machine-readable BENCH_*.json
-// trajectory; its serial rows carry serial_over_classical.
+// Each family's serial row also times the generator alone: one
+// streamWavefronts pass into a no-op sink, i.e. key evaluation, banding
+// and ordering without instance execution. --json mirrors the table into
+// the repo's machine-readable BENCH_*.json trajectory; its serial rows
+// carry stream_s and serial_over_classical.
 //
 //   bench_exec_backends [--smoke] [--size N] [--steps N] [--threads N]
 //                       [--devices N] [--json <path>]
@@ -143,6 +146,18 @@ int main(int argc, char **argv) {
                   harness::scheduleKindName(K), exec::backendKindName(B),
                   Rate, Secs, Stats.Bands, Stats.PeakBandInstances,
                   Stats.Wavefronts, Stats.HaloBytesExchanged);
+      double StreamSecs = 0;
+      if (B == exec::BackendKind::Serial) {
+        exec::WavefrontOptions WO;
+        WO.ParallelFrom = S.ParallelFrom;
+        auto S0 = std::chrono::steady_clock::now();
+        exec::streamWavefronts(Domain, S.Key, WO,
+                               [](const exec::Wavefront &) {});
+        StreamSecs = seconds(S0, std::chrono::steady_clock::now());
+        std::printf("%21s generator alone = %.4fs (%.0f%% of the serial "
+                    "replay)\n",
+                    "", StreamSecs, Secs > 0 ? 100.0 * StreamSecs / Secs : 0.0);
+      }
       if (B == exec::BackendKind::ThreadPool && SerialRate > 0)
         std::printf("%21s pooled/serial = %.2fx; peak buffer = %.1f%% of "
                     "domain\n",
@@ -168,6 +183,8 @@ int main(int argc, char **argv) {
           .num("peak_buffer", Stats.PeakBandInstances)
           .num("wavefronts", Stats.Wavefronts)
           .num("pool_tasks", Stats.PoolTasks);
+      if (B == exec::BackendKind::Serial)
+        Row.num("stream_s", StreamSecs);
       if (B == exec::BackendKind::DeviceSim) {
         Row.num("devices", Stats.Devices)
             .num("halo_exchanges", Stats.HaloExchanges)

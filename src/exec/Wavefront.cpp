@@ -3,10 +3,11 @@
 #include "exec/Wavefront.h"
 
 #include <algorithm>
-#include <cassert>
 #include <climits>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 using namespace hextile;
 using namespace hextile::exec;
@@ -14,72 +15,75 @@ using namespace hextile::exec;
 namespace {
 
 /// Seeded shuffle tiebreak of one instance, hashed from its point exactly as
-/// the seed executor did (so logged seeds replay the same serializations).
-uint64_t tieOf(uint64_t Seed, std::span<const int64_t> Point) {
+/// the seed executor did (so logged seeds replay the same serializations),
+/// with the sign bit flipped so that int64_t order is the hash's order.
+int64_t tieOf(uint64_t Seed, const int64_t *Point, unsigned Arity) {
   uint64_t H = Seed;
-  for (int64_t V : Point)
-    H = mix64(H ^ static_cast<uint64_t>(V));
-  return H;
+  for (unsigned I = 0; I < Arity; ++I)
+    H = mix64(H ^ static_cast<uint64_t>(Point[I]));
+  return static_cast<int64_t>(H ^ (uint64_t{1} << 63));
 }
 
-/// One band's worth of materialized instances, reused across bands. Keys
-/// live in a flat arena (KeyOff/KeyLen rows), points in a flat row-major
-/// arena of fixed arity -- no per-instance vectors anywhere.
+/// One band's worth of materialized instances, reused across bands: one
+/// flat arena of fixed-stride rows [key | point] -- no per-instance vectors
+/// anywhere. A flush orders the rows by a stable least-significant-column
+/// radix sort, so rows, which arrive in point order, keep it among equals.
 class BandBuffer {
 public:
   BandBuffer(unsigned Arity, size_t SeqLen, uint64_t Seed)
       : Arity(Arity), SeqLen(SeqLen), Seed(Seed) {}
 
-  size_t size() const { return Rows.size(); }
-  bool empty() const { return Rows.empty(); }
-
-  void clear() {
-    KeyArena.clear();
-    PointArena.clear();
-    Rows.clear();
-  }
-
-  /// Appends an instance whose key is currently in \p Key.
+  /// Appends an instance whose key is currently in \p Key. Every key of a
+  /// replay has one length (the generator checks it), so rows share a stride.
   void append(std::span<const int64_t> Point,
               const std::vector<int64_t> &Key) {
-    Row R;
-    R.KeyOff = KeyArena.size();
-    R.KeyLen = Key.size();
-    R.Tie = Seed == 0 ? 0 : tieOf(Seed, Point);
-    KeyArena.insert(KeyArena.end(), Key.begin(), Key.end());
-    PointArena.insert(PointArena.end(), Point.begin(), Point.end());
-    Rows.push_back(R);
+    KeyLen = Key.size();
+    Arena.insert(Arena.end(), Key.begin(), Key.end());
+    Arena.insert(Arena.end(), Point.begin(), Point.end());
   }
 
   /// Sorts the band and hands each equal-sequential-prefix run to \p Sink
   /// as one wavefront, updating \p Stats.
   void flush(const std::function<void(const Wavefront &)> &Sink,
              ReplayStats &Stats) {
-    if (Rows.empty())
+    size_t Stride = KeyLen + Arity, N = Arena.size() / Stride;
+    if (N == 0)
       return;
     Stats.Bands += 1;
-    Stats.Instances += Rows.size();
-    Stats.PeakBandInstances = std::max(Stats.PeakBandInstances, Rows.size());
+    Stats.Instances += N;
+    Stats.PeakBandInstances = std::max(Stats.PeakBandInstances, N);
 
-    Order.resize(Rows.size());
+    // The seed executor's order: the sequential prefix, then the seeded
+    // tiebreak when shuffling, else the whole key; the point last, which
+    // stability supplies. Sort columns go least significant first.
+    size_t Prefix = std::min(KeyLen, SeqLen);
+    Order.resize(N);
     std::iota(Order.begin(), Order.end(), size_t{0});
-    std::sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
-      return less(Rows[A], A, Rows[B], B);
-    });
-
-    // Points of the whole band in execution order; wavefronts are emitted
-    // as contiguous sub-spans of this buffer.
-    Sorted.clear();
-    Sorted.reserve(Rows.size() * Arity);
-    for (size_t I : Order) {
-      const int64_t *P = PointArena.data() + I * Arity;
-      Sorted.insert(Sorted.end(), P, P + Arity);
+    Column.resize(N);
+    if (Seed != 0) {
+      for (size_t R = 0; R < N; ++R)
+        Column[R] = tieOf(Seed, Arena.data() + R * Stride + KeyLen, Arity);
+      sortByColumn();
+    }
+    for (size_t C = Seed != 0 ? Prefix : KeyLen; C-- > 0;) {
+      for (size_t R = 0; R < N; ++R)
+        Column[R] = Arena[R * Stride + C];
+      sortByColumn();
     }
 
+    // Points of the whole band in execution order; wavefronts are emitted
+    // as contiguous sub-spans of this buffer, split where the prefix
+    // columns of adjacent rows differ.
+    Sorted.clear();
+    for (size_t R : Order) {
+      const int64_t *P = Arena.data() + R * Stride + KeyLen;
+      Sorted.insert(Sorted.end(), P, P + Arity);
+    }
     size_t GroupStart = 0;
-    for (size_t I = 1; I <= Order.size(); ++I) {
-      if (I < Order.size() &&
-          samePrefix(Rows[Order[GroupStart]], Rows[Order[I]]))
+    for (size_t I = 1; I <= N; ++I) {
+      if (I < N && std::equal(Arena.data() + Order[I] * Stride,
+                              Arena.data() + Order[I] * Stride + Prefix,
+                              Arena.data() + Order[I - 1] * Stride))
         continue;
       Wavefront W;
       W.PointArity = Arity;
@@ -91,54 +95,48 @@ public:
       Sink(W);
       GroupStart = I;
     }
-    clear();
+    Arena.clear();
   }
 
 private:
-  struct Row {
-    size_t KeyOff = 0;
-    size_t KeyLen = 0;
-    uint64_t Tie = 0;
-  };
-
-  std::span<const int64_t> keyOf(const Row &R) const {
-    return std::span<const int64_t>(KeyArena.data() + R.KeyOff, R.KeyLen);
-  }
-  std::span<const int64_t> pointOf(size_t Idx) const {
-    return std::span<const int64_t>(PointArena.data() + Idx * Arity, Arity);
-  }
-
-  /// The seed executor's comparator: sequential prefix first, then the
-  /// seeded tiebreak when shuffling, else the stable full-key/point order.
-  bool less(const Row &A, size_t IdxA, const Row &B, size_t IdxB) const {
-    std::span<const int64_t> KA = keyOf(A), KB = keyOf(B);
-    size_t N = std::min({KA.size(), KB.size(), SeqLen});
-    for (size_t I = 0; I < N; ++I)
-      if (KA[I] != KB[I])
-        return KA[I] < KB[I];
-    if (Seed != 0)
-      return A.Tie < B.Tie;
-    if (!std::ranges::equal(KA, KB))
-      return std::ranges::lexicographical_compare(KA, KB);
-    return std::ranges::lexicographical_compare(pointOf(IdxA), pointOf(IdxB));
-  }
-
-  /// True when both instances belong to one wavefront: identical sequential
-  /// prefixes (component-wise, including the clamped length).
-  bool samePrefix(const Row &A, const Row &B) const {
-    std::span<const int64_t> KA = keyOf(A), KB = keyOf(B);
-    size_t LA = std::min(KA.size(), SeqLen), LB = std::min(KB.size(), SeqLen);
-    return LA == LB && std::ranges::equal(KA.first(LA), KB.first(LB));
+  /// One stable counting-sort pass of Order by Column (indexed by row). A
+  /// constant column is skipped; a column whose range is at least twice the
+  /// row count (permuted block ids, the tiebreak) is first replaced by each
+  /// value's rank among the band's distinct values.
+  void sortByColumn() {
+    auto [Lo, Hi] = std::ranges::minmax(Column);
+    if (Lo == Hi)
+      return;
+    uint64_t Range = static_cast<uint64_t>(Hi) - static_cast<uint64_t>(Lo);
+    if (Range < 2 * Column.size()) {
+      for (int64_t &V : Column)
+        V -= Lo;
+    } else {
+      Distinct.assign(Column.begin(), Column.end());
+      std::ranges::sort(Distinct);
+      Distinct.erase(std::unique(Distinct.begin(), Distinct.end()),
+                     Distinct.end());
+      for (int64_t &V : Column)
+        V = std::ranges::lower_bound(Distinct, V) - Distinct.begin();
+      Range = Distinct.size() - 1;
+    }
+    Counts.assign(Range + 2, 0);
+    for (int64_t V : Column)
+      ++Counts[static_cast<size_t>(V) + 1];
+    std::partial_sum(Counts.begin(), Counts.end(), Counts.begin());
+    Next.resize(Order.size());
+    for (size_t R : Order)
+      Next[Counts[static_cast<size_t>(Column[R])]++] = R;
+    Order.swap(Next);
   }
 
   unsigned Arity;
   size_t SeqLen;
   uint64_t Seed;
-  std::vector<int64_t> KeyArena;
-  std::vector<int64_t> PointArena;
-  std::vector<Row> Rows;
-  std::vector<size_t> Order;
-  std::vector<int64_t> Sorted;
+  size_t KeyLen = 0;
+  std::vector<int64_t> Arena; ///< Rows of KeyLen + Arity values.
+  std::vector<size_t> Order, Next, Counts;
+  std::vector<int64_t> Column, Distinct, Sorted;
 };
 
 } // namespace
@@ -157,10 +155,19 @@ void exec::streamWavefronts(
 
   BandBuffer Band(Arity, SeqLen, Opts.ShuffleSeed);
   std::vector<int64_t> Scratch;
+  size_t KeyLen = 0;
+  // The first evaluation fixes the key length; the first sweep (pass 1, or
+  // the materializing loop) checks every key before any instance runs.
   auto eval = [&](std::span<const int64_t> Pt) -> std::vector<int64_t> & {
     Scratch.clear();
     Key(Pt, Scratch);
-    S.KeyEvals += 1;
+    if (++S.KeyEvals == 1)
+      KeyLen = Scratch.size();
+    else if (Scratch.size() != KeyLen)
+      throw std::invalid_argument(
+          "schedule keys of one replay must share one length: the first key "
+          "has length " + std::to_string(KeyLen) + ", a later one length " +
+          std::to_string(Scratch.size()));
     return Scratch;
   };
 

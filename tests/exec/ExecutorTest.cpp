@@ -1,11 +1,16 @@
 //===- ExecutorTest.cpp - Reference/schedule executor tests ------------------===//
 
 #include "exec/Executor.h"
+#include "harness/StencilOracle.h"
 #include "ir/StencilGallery.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
+#include <map>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 using namespace hextile;
@@ -125,6 +130,160 @@ TEST(ExecutorTest, StreamingReplayStatsUnderThreadPool) {
   EXPECT_EQ(Stats.Wavefronts, Stats.Bands); // One front per time step.
   EXPECT_EQ(Stats.MaxWavefrontInstances,
             static_cast<size_t>(D.numSpatialPoints()));
+}
+
+namespace {
+
+/// One replay's wavefront stream: each wavefront's points, flat, in order.
+using Stream = std::vector<std::vector<int64_t>>;
+
+/// The stream streamWavefronts must produce, by brute force: every instance
+/// materialized in forEachPoint order, stably sorted by the sequential
+/// prefix, then by the seeded tie (the whole key when unseeded), and cut
+/// into wavefronts where the prefix changes. Fills the streaming counters
+/// of \p Stats the generator must reproduce.
+Stream materializedStream(const core::IterationDomain &D,
+                          const ScheduleKeyIntoFn &Key,
+                          const WavefrontOptions &Opts, ReplayStats &Stats) {
+  struct Instance {
+    std::vector<int64_t> Key, Point;
+    uint64_t Tie = 0;
+  };
+  std::vector<Instance> All;
+  D.forEachPoint([&](std::span<const int64_t> Pt) {
+    Instance I;
+    Key(Pt, I.Key);
+    I.Point.assign(Pt.begin(), Pt.end());
+    I.Tie = Opts.ShuffleSeed;
+    for (int64_t V : Pt)
+      I.Tie = mix64(I.Tie ^ static_cast<uint64_t>(V));
+    All.push_back(std::move(I));
+  });
+  size_t SeqLen = Opts.ParallelFrom < 0
+                      ? SIZE_MAX
+                      : static_cast<size_t>(Opts.ParallelFrom);
+  auto prefix = [&](const Instance &I) {
+    return std::span<const int64_t>(I.Key).first(
+        std::min(I.Key.size(), SeqLen));
+  };
+  std::ranges::stable_sort(All, [&](const Instance &A, const Instance &B) {
+    if (!std::ranges::equal(prefix(A), prefix(B)))
+      return std::ranges::lexicographical_compare(prefix(A), prefix(B));
+    if (Opts.ShuffleSeed != 0)
+      return A.Tie < B.Tie;
+    return std::ranges::lexicographical_compare(A.Key, B.Key);
+  });
+
+  std::map<int64_t, size_t> PerBand;
+  for (const Instance &I : All)
+    ++PerBand[I.Key.empty() ? 0 : I.Key[0]];
+  Stats.Instances = All.size();
+  Stats.Bands = SeqLen == 0 ? 1 : PerBand.size();
+  Stats.PeakBandInstances = SeqLen == 0 ? All.size() : 0;
+  for (const auto &[Lead, Count] : PerBand)
+    Stats.PeakBandInstances = std::max(Stats.PeakBandInstances, Count);
+
+  Stream Out;
+  for (size_t I = 0; I < All.size(); ++I) {
+    if (I == 0 || !std::ranges::equal(prefix(All[I]), prefix(All[I - 1])))
+      Out.emplace_back();
+    Out.back().insert(Out.back().end(), All[I].Point.begin(),
+                      All[I].Point.end());
+  }
+  Stats.Wavefronts = Out.size();
+  for (const std::vector<int64_t> &W : Out)
+    Stats.MaxWavefrontInstances =
+        std::max(Stats.MaxWavefrontInstances, W.size() / (D.rank() + 1));
+  return Out;
+}
+
+} // namespace
+
+TEST(ExecutorTest, StreamMatchesMaterializedOrder) {
+  // The generator bands, radix-orders and splits instances; the brute-force
+  // stream is the order it must reproduce exactly -- point for point, not
+  // just in final fields -- for the oracle's four keyed families under
+  // natural and permuted blocks, at the schedule's parallel split, all
+  // sequential (-1) and all parallel (0), plus an empty key.
+  harness::OracleTiling T{2, 4, {4}, 4};
+  ScheduleKeyIntoFn Empty = [](std::span<const int64_t>,
+                               std::vector<int64_t> &) {};
+  size_t Cases = 0;
+  for (const ir::StencilProgram &P : {ir::makeJacobi2D(20, 6),
+                                       ir::makeFdtd2D(16, 4),
+                                       ir::makeHeat3D(10, 3)}) {
+    core::IterationDomain D = core::IterationDomain::forProgram(P);
+    for (uint64_t Seed : {uint64_t{0}, uint64_t{0x5eed}}) {
+      std::vector<std::pair<std::string, harness::OracleSchedule>> Keys;
+      for (harness::ScheduleKind K :
+           {harness::ScheduleKind::Hex, harness::ScheduleKind::Hybrid,
+            harness::ScheduleKind::Classical, harness::ScheduleKind::Diamond}) {
+        Keys.emplace_back(harness::scheduleKindName(K),
+                          harness::makeOracleSchedule(P, K, T, Seed));
+        ASSERT_TRUE(Keys.back().second.Key) << Keys.back().second.Skipped;
+      }
+      Keys.emplace_back("empty", harness::OracleSchedule{Empty, 1, ""});
+      for (const auto &[Name, S] : Keys)
+        for (int ParallelFrom : {S.ParallelFrom, -1, 0}) {
+          SCOPED_TRACE(P.name() + " " + Name + " seed=" +
+                       std::to_string(Seed) +
+                       " ParallelFrom=" + std::to_string(ParallelFrom));
+          WavefrontOptions Opts{Seed, ParallelFrom};
+          ReplayStats Want, Got;
+          Stream Expected = materializedStream(D, S.Key, Opts, Want);
+          Stream Actual;
+          streamWavefronts(
+              D, S.Key, Opts,
+              [&](const Wavefront &W) {
+                Actual.emplace_back(W.FlatPoints.begin(), W.FlatPoints.end());
+              },
+              &Got);
+          ASSERT_EQ(Actual.size(), Expected.size());
+          for (size_t W = 0; W < Actual.size(); ++W)
+            ASSERT_EQ(Actual[W], Expected[W]) << "wavefront " << W;
+          EXPECT_EQ(Got.Instances, Want.Instances);
+          EXPECT_EQ(Got.Bands, Want.Bands);
+          EXPECT_EQ(Got.Wavefronts, Want.Wavefronts);
+          EXPECT_EQ(Got.MaxWavefrontInstances, Want.MaxWavefrontInstances);
+          EXPECT_EQ(Got.PeakBandInstances, Want.PeakBandInstances);
+          ++Cases;
+        }
+    }
+  }
+  EXPECT_EQ(Cases, 90u);
+}
+
+TEST(ExecutorTest, MixedLengthKeysAreRejectedBeforeAnyInstanceRuns) {
+  // One key length per replay: a key that grows a component only on even
+  // rows is refused by the first sweep, naming both lengths, before any
+  // instance executes -- on the banded path and on the materializing one.
+  ir::StencilProgram P = ir::makeJacobi2D(10, 3);
+  core::IterationDomain D = core::IterationDomain::forProgram(P);
+  ScheduleKeyIntoFn Ragged = [](std::span<const int64_t> Pt,
+                                std::vector<int64_t> &Out) {
+    Out.push_back(Pt[0]);
+    if (Pt[1] % 2 == 0)
+      Out.push_back(Pt[1]);
+  };
+  auto Init = [](unsigned F, std::span<const int64_t> C) {
+    return static_cast<float>(F + C[0] * 3 + C[1]);
+  };
+  for (int ParallelFrom : {-1, 1, 0}) {
+    SCOPED_TRACE("ParallelFrom=" + std::to_string(ParallelFrom));
+    GridStorage Fresh(P, Init), S(P, Init);
+    ScheduleRunOptions Opts;
+    Opts.ParallelFrom = ParallelFrom;
+    try {
+      runSchedule(P, S, D, Ragged, Opts);
+      ADD_FAILURE() << "mixed-length keys must be rejected";
+    } catch (const std::invalid_argument &E) {
+      std::string Msg = E.what();
+      EXPECT_NE(Msg.find("length 1"), std::string::npos) << Msg;
+      EXPECT_NE(Msg.find("length 2"), std::string::npos) << Msg;
+    }
+    for (unsigned F = 0; F < S.numFields(); ++F)
+      EXPECT_TRUE(std::ranges::equal(S.field(F), Fresh.field(F))) << F;
+  }
 }
 
 TEST(ExecutorTest, PerTimeSliceEnumerationMatchesFullEnumeration) {
