@@ -20,7 +20,9 @@
 // Host target (JIT .so, runnable) when a system compiler exists; Cuda
 // source-only units otherwise, so the harness degrades gracefully instead
 // of skipping. Flags: --smoke (small replay), --threads N, --requests N
-// (per thread, mixed phase), --json <path>.
+// (per thread, mixed phase), --json <path>. Before both phases it times the
+// key hash alone (makeCompileKey, best of N per key, median over keys) and
+// reports it as the key_hash row's key_hash_us.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +32,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <filesystem>
 #include <random>
 #include <thread>
@@ -114,6 +118,24 @@ LatencyStats summarize(std::vector<double> &Ms) {
   return S;
 }
 
+/// The request path's first stage on its own: makeCompileKey over every
+/// request, best of \p Reps calls per key, median over keys, in us.
+double keyHashUs(const std::vector<CompileRequest> &Requests, int Reps) {
+  std::vector<double> BestUs;
+  for (const CompileRequest &R : Requests) {
+    double Best = INFINITY;
+    for (int I = 0; I < Reps; ++I) {
+      auto T0 = std::chrono::steady_clock::now();
+      (void)makeCompileKey(R);
+      Best = std::min(Best, std::chrono::duration<double, std::micro>(
+                                std::chrono::steady_clock::now() - T0)
+                                .count());
+    }
+    BestUs.push_back(Best);
+  }
+  return summarize(BestUs).P50;
+}
+
 /// Replays \p Total requests drawn by \p Pick across \p NumThreads client
 /// threads; returns every per-request latency. Any failed request aborts
 /// the harness (a load test that drops errors is lying).
@@ -191,6 +213,9 @@ int main(int argc, char **argv) {
               NumThreads, PerThread, Requests.size(),
               targetKindName(Target));
 
+  const int KeyHashReps = Smoke ? 50 : 1000;
+  const double KeyHashUs = keyHashUs(Requests, KeyHashReps);
+
   // Phase 1 -- stampede: every thread, one key, simultaneously. On this
   // cold service the whole herd is served by exactly one compile.
   std::vector<double> StampedeMs =
@@ -216,6 +241,9 @@ int main(int argc, char **argv) {
   std::printf("  mixed:    %zu requests, p50 %.3f ms, p99 %.3f ms, "
               "mean %.3f ms\n",
               Mixed.Count, Mixed.P50, Mixed.P99, Mixed.Mean);
+  std::printf("  key hash: %.3f us (best of %d per key, median over "
+              "keys)\n",
+              KeyHashUs, KeyHashReps);
   std::printf("  service:  %" PRIu64 " requests, hit rate %.4f, dedup "
               "ratio %.2f, %" PRIu64 " compiles (%" PRIu64 " failures), "
               "%" PRIu64 " mem hits, %" PRIu64 " disk hits, %" PRIu64
@@ -233,6 +261,11 @@ int main(int argc, char **argv) {
       .num("smoke", int64_t(Smoke));
   Report.add(latencyRow("stampede", Stampede, AfterStampede));
   Report.add(latencyRow("mixed", Mixed, Final));
+  JsonRow KeyHash;
+  KeyHash.str("phase", "key_hash")
+      .num("key_hash_us", KeyHashUs)
+      .num("reps_per_key", int64_t(KeyHashReps));
+  Report.add(KeyHash);
   JsonRow Counters;
   Counters.str("phase", "counters")
       .num("requests", Final.Requests)

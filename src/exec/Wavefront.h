@@ -48,6 +48,7 @@
 #define HEXTILE_EXEC_WAVEFRONT_H
 
 #include "core/IterationDomain.h"
+#include "support/Hash.h"
 
 #include <cstdint>
 #include <functional>
@@ -67,18 +68,6 @@ namespace exec {
 /// before any instance executes.
 using ScheduleKeyIntoFn = std::function<void(std::span<const int64_t> Point,
                                              std::vector<int64_t> &Out)>;
-
-/// The 64-bit finalizer of MurmurHash3: the one mixer behind every seeded
-/// serialization of a replay (the equal-key shuffle and permuteBlock), so
-/// a logged seed replays the same order.
-inline uint64_t mix64(uint64_t X) {
-  X ^= X >> 33;
-  X *= 0xff51afd7ed558ccdull;
-  X ^= X >> 33;
-  X *= 0xc4ceb9fe1a85ec53ull;
-  X ^= X >> 33;
-  return X;
-}
 
 /// Seeded hash of a parallel block index, substituted for the index in a
 /// schedule key so the blocks replay in a pseudo-random serialization

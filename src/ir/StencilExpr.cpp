@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cmath>
 
 using namespace hextile;
@@ -118,8 +119,12 @@ std::string StencilExpr::str(std::span<const std::string> ReadNames) const {
       return ReadNames[Index];
     return "r" + std::to_string(Index);
   case ExprKind::ConstF32: {
-    std::string S = std::to_string(Value);
-    return S + "f";
+    // The shortest fixed digits that read back through the lexer (std::stod,
+    // then a float cast) to this exact float; it takes no exponent sign.
+    char Buf[64];
+    std::string S(Buf, std::to_chars(Buf, std::end(Buf), Value,
+                                     std::chars_format::fixed).ptr);
+    return S + (S.find('.') == std::string::npos ? ".0f" : "f");
   }
   case ExprKind::Add:
     return "(" + LHS->str(ReadNames) + " + " + RHS->str(ReadNames) + ")";

@@ -57,7 +57,9 @@ struct StencilStmt {
   unsigned numReads() const { return Reads.size(); }
 };
 
-/// A complete iterative stencil program over a rectangular grid.
+/// A complete iterative stencil program over a rectangular grid. Every
+/// member (and every member of its fields, statements and reads) enters
+/// service::makeCompileKey, so a member added here must enter it too.
 class StencilProgram {
 public:
   StencilProgram() = default;

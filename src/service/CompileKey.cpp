@@ -2,9 +2,12 @@
 
 #include "service/CompileKey.h"
 
-#include "codegen/EmissionCore.h"
+#include "support/Hash.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
+#include <cstring>
 
 using namespace hextile;
 using namespace hextile::service;
@@ -21,35 +24,49 @@ const char *service::targetKindName(TargetKind T) {
 
 namespace {
 
-/// One 64-bit FNV-1a stream.
-struct Fnv64 {
-  uint64_t State;
-  explicit Fnv64(uint64_t Basis) : State(Basis) {}
-  void mix(const std::string &S) {
-    for (unsigned char C : S) {
-      State ^= C;
-      State *= 0x100000001b3ull;
+/// Two independent 64-bit streams fed one word at a time. Each step is a
+/// bijection of the stream's state for a fixed word (xor or add, odd
+/// multiply, xorshift), so requests whose words differ in one place never
+/// collide; mix64 finishes each stream.
+struct KeyStream {
+  uint64_t A = 0xcbf29ce484222325ull, B = 0x6c62272e07bb0142ull;
+
+  template <typename... Ts> void words(Ts... Ws) {
+    for (uint64_t W : {static_cast<uint64_t>(Ws)...}) {
+      A = (A ^ W) * 0x9e3779b97f4a7c15ull;
+      A ^= A >> 32;
+      B = (B + W) * 0xd6e8feb86659fd93ull;
+      B ^= B >> 29;
     }
-    // Terminate every field so "ab"+"c" and "a"+"bc" diverge.
-    State ^= 0xff;
-    State *= 0x100000001b3ull;
+  }
+  /// A list is its length, then its elements.
+  void list(const std::vector<int64_t> &Vs) {
+    words(Vs.size());
+    for (int64_t V : Vs)
+      words(V);
+  }
+  /// A string is its length, then 8-byte chunks (the last zero-padded).
+  void text(const std::string &S) {
+    words(S.size());
+    for (size_t I = 0; I < S.size(); I += 8) {
+      uint64_t W = 0;
+      std::memcpy(&W, S.data() + I, std::min<size_t>(8, S.size() - I));
+      words(W);
+    }
+  }
+  /// An expression in prefix order, one word per node: the kind over the
+  /// read index or the constant's exact bits. The kind fixes the arity.
+  void expr(const ir::StencilExpr &E) {
+    uint32_t Payload = E.kind() == ir::ExprKind::ConstF32
+                           ? std::bit_cast<uint32_t>(E.constantValue())
+                           : E.readIndex(); // 0 on every non-read node
+    words(static_cast<uint64_t>(E.kind()) << 32 | Payload);
+    if (E.lhs())
+      expr(*E.lhs());
+    if (E.rhs())
+      expr(*E.rhs());
   }
 };
-
-void field(std::string &Out, const char *Tag, const std::string &Value) {
-  Out += Tag;
-  Out += '=';
-  Out += Value;
-  Out += '\x1f'; // Unit separator: values cannot contain it.
-}
-
-std::string intList(const std::vector<int64_t> &Vs) {
-  std::string S = "[";
-  for (int64_t V : Vs)
-    S += std::to_string(V) + ",";
-  S += "]";
-  return S;
-}
 
 } // namespace
 
@@ -82,54 +99,45 @@ bool CompileKey::fromHex(const std::string &S, CompileKey &Out) {
   return true;
 }
 
-std::string service::canonicalRequestString(const CompileRequest &R) {
-  std::string S;
-  field(S, "name", R.Program.name());
-  // The printed program carries fields, statements, expressions, grid
-  // sizes and time steps in one parser-normalized rendering; hashing it
-  // (rather than whatever text the client sent) is what makes the key
-  // whitespace-insensitive.
-  field(S, "program", R.Program.str());
-
-  field(S, "tiling.h",
-        R.Tiling.H ? std::to_string(*R.Tiling.H) : "auto");
-  field(S, "tiling.w0",
-        R.Tiling.W0 ? std::to_string(*R.Tiling.W0) : "auto");
-  field(S, "tiling.inner", intList(R.Tiling.InnerWidths));
-  const core::TileSizeConstraints &C = R.Tiling.Constraints;
-  field(S, "tiling.shmem", std::to_string(C.SharedMemBytes));
-  field(S, "tiling.warp", std::to_string(C.WarpSize));
-  field(S, "tiling.maxh", std::to_string(C.MaxH));
-  field(S, "tiling.maxw0", std::to_string(C.MaxW0));
-  field(S, "tiling.middle", intList(C.MiddleWidths));
-  field(S, "tiling.innermost", intList(C.InnermostWidths));
-  field(S, "tiling.w0widths", intList(C.W0Widths));
-
-  const codegen::OptimizationConfig &O = R.Config;
-  field(S, "config.shared", O.UseSharedMemory ? "1" : "0");
-  field(S, "config.interleave", O.InterleaveCopyOut ? "1" : "0");
-  field(S, "config.align", O.AlignLoads ? "1" : "0");
-  field(S, "config.reuse", std::to_string(static_cast<int>(O.Reuse)));
-  field(S, "config.unroll", O.UnrollCore ? "1" : "0");
-  field(S, "config.regtile", std::to_string(O.RegisterTile));
-  field(S, "config.staticreuse", O.EmitStaticReuse ? "1" : "0");
-  // Serial (0) and parallel (N > 0) shim renderings are different source
-  // texts, so they must never share a cached artifact.
-  field(S, "config.shimthreads", std::to_string(O.ShimThreads));
-
-  field(S, "flavor", codegen::emitScheduleName(R.Flavor));
-  field(S, "target", targetKindName(R.Target));
-  return S;
-}
-
 CompileKey service::makeCompileKey(const CompileRequest &R) {
-  std::string S = canonicalRequestString(R);
-  // Two independent streams: different bases, and the Hi stream salts in
-  // the length so the halves do not cancel identically.
-  Fnv64 Lo(0xcbf29ce484222325ull);
-  Lo.mix(S);
-  Fnv64 Hi(0x6c62272e07bb0142ull);
-  Hi.mix(std::to_string(S.size()));
-  Hi.mix(S);
-  return CompileKey{Hi.State, Lo.State};
+  KeyStream K;
+  const ir::StencilProgram &P = R.Program;
+  K.text(P.name());
+  K.words(P.spaceRank());
+  K.list(P.spaceSizes());
+  K.words(P.timeSteps(), P.fields().size());
+  for (const ir::FieldDecl &F : P.fields()) {
+    K.text(F.Name);
+    K.words(F.Rank);
+  }
+  K.words(P.stmts().size());
+  for (const ir::StencilStmt &S : P.stmts()) {
+    K.text(S.Name);
+    K.words(S.WriteField, S.Reads.size());
+    // Every declared read, referenced or not: each one can deepen the
+    // rotating buffer the emitted unit allocates.
+    for (const ir::ReadAccess &Rd : S.Reads) {
+      K.words(Rd.Field, Rd.TimeOffset);
+      K.list(Rd.Offsets);
+    }
+    K.expr(S.RHS);
+  }
+
+  const codegen::TileSizeRequest &T = R.Tiling;
+  const core::TileSizeConstraints &C = T.Constraints;
+  K.words(T.H.has_value(), T.H.value_or(0), T.W0.has_value(),
+          T.W0.value_or(0));
+  K.list(T.InnerWidths);
+  K.words(C.SharedMemBytes, C.WarpSize, C.MaxH, C.MaxW0);
+  K.list(C.MiddleWidths);
+  K.list(C.InnermostWidths);
+  K.list(C.W0Widths);
+
+  // ShimThreads included: serial (0) and parallel (N > 0) shim renderings
+  // are different source texts, so they must never share an artifact.
+  const codegen::OptimizationConfig &O = R.Config;
+  K.words(O.UseSharedMemory, O.InterleaveCopyOut, O.AlignLoads, O.Reuse,
+          O.UnrollCore, O.RegisterTile, O.EmitStaticReuse, O.ShimThreads,
+          R.Flavor, R.Target);
+  return CompileKey{mix64(K.B), mix64(K.A)};
 }

@@ -7,12 +7,12 @@
 /// \file
 /// The identity of one compile request in the `hextiled` compile service:
 /// a 128-bit content hash over everything that determines the emitted
-/// artifact -- the *parsed* program (hashed through its canonical printed
-/// form, so whitespace-only differences in the source text hash
-/// identically), the tile-size request, the OptimizationConfig ladder
-/// rung, the schedule flavor and the emission target. Two requests with
-/// equal keys are interchangeable: the cache, the single-flight dedup map
-/// and the on-disk artifact store all index by CompileKey.
+/// artifact -- the *parsed* program (its IR is walked, so whitespace-only
+/// differences in the source text hash identically), the tile-size
+/// request, the OptimizationConfig ladder rung, the schedule flavor and the
+/// emission target. Two requests with equal keys are interchangeable: the
+/// cache, the single-flight dedup map and the on-disk artifact store all
+/// index by CompileKey.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,8 +38,14 @@ enum class TargetKind { Host, Cuda };
 
 const char *targetKindName(TargetKind T);
 
-/// 128-bit content hash (two independent 64-bit FNV-1a streams). Not
-/// cryptographic -- it addresses a cache, it does not authenticate one.
+/// 128-bit content hash of a CompileRequest, walked without printing it:
+/// two independent 64-bit streams take the program (name, sizes, steps,
+/// fields, every read -- referenced or not -- and each RHS in prefix order,
+/// constants as their exact bits) and every tiling, config, flavor and
+/// target field, one word at a time, each string and list preceded by its
+/// length so no two fields alias. Not cryptographic -- it addresses a
+/// cache, it does not authenticate one. It depends on no pointer and no
+/// iteration order, so a warm start finds keys another process wrote.
 struct CompileKey {
   uint64_t Hi = 0;
   uint64_t Lo = 0;
@@ -79,15 +85,8 @@ struct CompileRequest {
   TargetKind Target = TargetKind::Host;
 };
 
-/// The canonical serialization the key hashes: program name + printed
-/// program (grid sizes and time steps included) + every tiling-request
-/// and config field + flavor + target, each field tagged so adjacent
-/// fields cannot alias. Exposed for tests and docs; stable across
-/// processes (no pointers, no iteration-order dependence).
-std::string canonicalRequestString(const CompileRequest &R);
-
-/// Content-hashes \p R. Equal canonical strings give equal keys in every
-/// process (the disk store depends on that for warm starts).
+/// Content-hashes \p R by walking it. A new member of any request type
+/// must enter this walk, or two requests differing only in it collide.
 CompileKey makeCompileKey(const CompileRequest &R);
 
 } // namespace service

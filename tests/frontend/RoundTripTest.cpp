@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
 #include <sstream>
 
 using namespace hextile;
@@ -37,6 +39,37 @@ std::string canonicalSource(const ir::StencilProgram &P) {
       Out += Line + "\n";
   }
   return Out;
+}
+
+/// The first constant of \p A whose re-parsed twin in \p B differs in any
+/// bit (or a node whose kind differs), walking both RHS trees in step;
+/// empty when every constant reads back exactly.
+std::string firstConstantMismatch(const ir::StencilExpr &A,
+                                  const ir::StencilExpr &B) {
+  if (A.kind() != B.kind())
+    return A.str() + " re-parsed as " + B.str();
+  if (A.kind() == ir::ExprKind::ConstF32 &&
+      std::bit_cast<uint32_t>(A.constantValue()) !=
+          std::bit_cast<uint32_t>(B.constantValue())) {
+    char Buf[64];
+    std::snprintf(Buf, sizeof(Buf), "%a re-parsed as %a", A.constantValue(),
+                  B.constantValue());
+    return A.str() + ": " + Buf;
+  }
+  for (auto [CA, CB] :
+       {std::pair{A.lhs(), B.lhs()}, std::pair{A.rhs(), B.rhs()}})
+    if (CA)
+      if (std::string M = firstConstantMismatch(*CA, *CB); !M.empty())
+        return M;
+  return "";
+}
+
+void expectConstantsExact(const ir::StencilProgram &P,
+                          const ir::StencilProgram &Q) {
+  ASSERT_EQ(Q.numStmts(), P.numStmts()) << P.name();
+  for (unsigned S = 0; S < P.numStmts(); ++S)
+    EXPECT_EQ(firstConstantMismatch(P.stmts()[S].RHS, Q.stmts()[S].RHS), "")
+        << P.name() << " statement " << S;
 }
 
 /// Structural equivalence of the semantic content the parser must
@@ -68,6 +101,7 @@ void expectRoundTrips(const ir::StencilProgram &P) {
     EXPECT_EQ(Q.hiHalo(D), P.hiHalo(D)) << D;
   }
   EXPECT_EQ(Q.verify(), "");
+  expectConstantsExact(P, Q);
 
   // Printer fixed point: re-rendering the re-parsed program reproduces the
   // rendering (modulo statement-name comments).
@@ -114,7 +148,8 @@ TEST(RoundTripTest, VarHeat2DReadOnlyCoefficientField) {
 
 TEST(RoundTripTest, WholeGalleryParses) {
   // Weaker sweep over everything makeByName knows: rendering must at least
-  // re-parse and re-verify, so new gallery entries cannot drift silently.
+  // re-parse with every constant bit for bit, so new gallery entries cannot
+  // drift silently.
   for (const char *Name :
        {"jacobi1d", "jacobi2d", "laplacian2d", "heat2d", "gradient2d",
         "fdtd2d", "laplacian3d", "heat3d", "gradient3d", "skewed1d",
@@ -123,5 +158,7 @@ TEST(RoundTripTest, WholeGalleryParses) {
     frontend::ParseResult R =
         frontend::parseStencilProgram(P.str(), P.name());
     EXPECT_TRUE(R.ok()) << Name << ": " << R.Error;
+    if (R.ok())
+      expectConstantsExact(P, R.Program);
   }
 }

@@ -13,6 +13,7 @@
 #include "deps/DependenceAnalysis.h"
 #include "exec/GridStorage.h"
 #include "exec/OverlappedReplay.h"
+#include "support/Hash.h"
 
 #include <algorithm>
 #include <memory>
@@ -21,7 +22,6 @@
 
 using namespace hextile;
 using namespace hextile::harness;
-using exec::mix64;
 using exec::permuteBlock;
 
 const char *harness::scheduleKindName(ScheduleKind K) {
