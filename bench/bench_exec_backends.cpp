@@ -2,8 +2,8 @@
 //
 // Microbenchmark for the execution-backend subsystem: replays every
 // schedule family (hex / hybrid / classical / diamond) through the
-// streaming wavefront generator under the serial, work-stealing
-// thread-pool and simulated multi-device backends, reporting
+// streaming wavefront generator under the serial, thread-pool and
+// simulated multi-device backends, reporting
 // instances/second, the streaming counters (bands, peak resident instance
 // buffer, wavefronts) and -- for the DeviceSim backend -- the measured
 // halo-exchange traffic per schedule family.

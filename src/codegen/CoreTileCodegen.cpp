@@ -2,11 +2,12 @@
 
 #include "codegen/CoreTileCodegen.h"
 
+#include "core/TileAnalysis.h"
 #include "support/MathExt.h"
 
 #include <cassert>
 #include <cstdio>
-#include <map>
+#include <numeric>
 
 using namespace hextile;
 using namespace hextile::ir;
@@ -23,28 +24,20 @@ public:
 
   CoreTileCode run() {
     CoreTileCode Out;
-    // Decide which reads come from registers: group reads by
-    // (field, time offset, inner offsets); within a group, only the leader
-    // (largest s0 offset) is loaded -- the others were loaded at earlier
-    // iterations of the sequential s0 walk and rotate through registers.
-    std::map<std::vector<int64_t>, unsigned> Leader;
-    for (unsigned R = 0; R < S.Reads.size(); ++R) {
-      std::vector<int64_t> G = groupOf(R);
-      auto It = Leader.find(G);
-      if (It == Leader.end() ||
-          S.Reads[R].Offsets[0] > S.Reads[It->second].Offsets[0])
-        Leader[G] = R;
+    std::vector<unsigned> Loads;
+    if (Reuse) {
+      Loads = core::registerWindowLoads(S);
+    } else {
+      Loads.resize(S.Reads.size());
+      std::iota(Loads.begin(), Loads.end(), 0u);
     }
     ReadRegs.assign(S.Reads.size(), -1);
-    for (unsigned R = 0; R < S.Reads.size(); ++R) {
-      std::vector<int64_t> G = groupOf(R);
-      if (!Reuse || Leader[G] == R) {
-        int Reg = nextReg();
-        emit("ld.shared.f32 %f" + std::to_string(Reg) + ", [" +
-             address(S.Reads[R]) + "];");
-        ++Stats.SharedLoads;
-        ReadRegs[R] = Reg;
-      }
+    for (unsigned R : Loads) {
+      int Reg = nextReg();
+      emit("ld.shared.f32 %f" + std::to_string(Reg) + ", [" +
+           address(S.Reads[R]) + "];");
+      ++Stats.SharedLoads;
+      ReadRegs[R] = Reg;
     }
     if (Reuse)
       for (unsigned R = 0; R < S.Reads.size(); ++R) {
@@ -67,16 +60,6 @@ public:
   }
 
 private:
-  std::vector<int64_t> groupOf(unsigned R) const {
-    const ReadAccess &A = S.Reads[R];
-    std::vector<int64_t> G;
-    G.push_back(A.Field);
-    G.push_back(A.TimeOffset);
-    for (unsigned D = 1; D < A.Offsets.size(); ++D)
-      G.push_back(A.Offsets[D]);
-    return G;
-  }
-
   std::string address(const ReadAccess &A) const {
     // Byte offset in a row-major shared window with the given pitch; the
     // s0 dimension uses the pitch of one full row.

@@ -12,9 +12,11 @@
 /// loads and 1 shared store for 5 compute instructions, with 2 of the 5
 /// values in flight reused in registers across iterations.
 ///
-/// This listing feeds the performance model and the Fig. 2 bench; the
-/// *executable* renderings live in the EmissionCore targets
-/// (CudaEmitter/HostEmitter, see docs/codegen.md).
+/// Only the Fig. 2 bench and its test read this listing. The performance
+/// model takes its load counts from core::analyzeSlab, which applies the
+/// same grouping (core::registerWindowLoads); the *executable* renderings
+/// live in the EmissionCore targets (CudaEmitter/HostEmitter, see
+/// docs/codegen.md).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -119,6 +119,23 @@ std::vector<TransferRow> groupRows(const std::set<ValueKey> &Values) {
 
 } // namespace
 
+std::vector<unsigned> core::registerWindowLoads(const ir::StencilStmt &S) {
+  std::map<std::vector<int64_t>, unsigned> Leader;
+  for (unsigned R = 0; R < S.Reads.size(); ++R) {
+    const ir::ReadAccess &A = S.Reads[R];
+    std::vector<int64_t> Group{A.Field, A.TimeOffset};
+    Group.insert(Group.end(), A.Offsets.begin() + 1, A.Offsets.end());
+    auto [It, New] = Leader.try_emplace(std::move(Group), R);
+    if (!New && A.Offsets[0] > S.Reads[It->second].Offsets[0])
+      It->second = R;
+  }
+  std::vector<unsigned> Loads;
+  for (const auto &[Group, R] : Leader)
+    Loads.push_back(R);
+  std::sort(Loads.begin(), Loads.end());
+  return Loads;
+}
+
 SlabCosts core::analyzeSlab(const ir::StencilProgram &P,
                             const deps::DependenceInfo &Deps,
                             const HybridSchedule &Sched) {
@@ -128,6 +145,10 @@ SlabCosts core::analyzeSlab(const ir::StencilProgram &P,
   SlabContext Ctx{P, Deps, Sched, Rank};
 
   // Pass 1: the output set O and the instance-derived counters.
+  std::vector<int64_t> WindowLoads;
+  for (const ir::StencilStmt &S : P.stmts())
+    WindowLoads.push_back(
+        static_cast<int64_t>(registerWindowLoads(S).size()));
   std::set<ValueKey> Out;
   Ctx.forEachInstance([&](int64_t A, std::span<const int64_t> Cell) {
     unsigned J = euclidMod(A, P.numStmts());
@@ -135,18 +156,7 @@ SlabCosts core::analyzeSlab(const ir::StencilProgram &P,
     ++C.Instances;
     C.Flops += S.flops();
     C.SharedLoads += S.numReads();
-    // Register sliding-window reuse merges reads that differ only in their
-    // s0 offset (same field, time offset and inner offsets) -- Sec. 4.3.2.
-    std::set<std::vector<int64_t>> Groups;
-    for (const ir::ReadAccess &R : S.Reads) {
-      std::vector<int64_t> G;
-      G.push_back(R.Field);
-      G.push_back(R.TimeOffset);
-      for (unsigned D = 1; D < Rank; ++D)
-        G.push_back(R.Offsets[D]);
-      Groups.insert(std::move(G));
-    }
-    C.SharedLoadsUnrolled += static_cast<int64_t>(Groups.size());
+    C.SharedLoadsUnrolled += WindowLoads[J];
     ++C.SharedStores;
     Out.insert(makeKey(S.WriteField, A, Cell));
   });

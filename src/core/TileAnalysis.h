@@ -78,6 +78,14 @@ struct SlabCosts {
   }
 };
 
+/// The reads of \p S that still load from shared memory under register
+/// sliding-window reuse (Sec. 4.3.2), as indices into S.Reads in ascending
+/// order. Reads that differ only in their s0 offset (same field, time
+/// offset and inner offsets) form one group, and only its largest-s0 read
+/// loads: the sequential s0 walk loaded the others at earlier iterations
+/// and rotates them through registers.
+std::vector<unsigned> registerWindowLoads(const ir::StencilStmt &S);
+
 /// Analyzes the generic interior slab of \p Sched applied to \p P.
 /// \p Deps must be the dependence summary used to build the schedule.
 SlabCosts analyzeSlab(const ir::StencilProgram &P,

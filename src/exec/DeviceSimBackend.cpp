@@ -42,8 +42,8 @@ void DeviceSimBackend::ensurePool(unsigned NumDevices) {
   if (Pool && PoolDevices == NumDevices)
     return;
   // One participant per device: the caller is worker 0, so NumDevices - 1
-  // threads are spawned and each device's phase work lands on its own
-  // worker (parallelFor deals the single-iteration chunks round-robin).
+  // threads are spawned. Each device's phase work is one chunk, claimed by
+  // whichever participant reaches the pool's cursor first.
   Pool = std::make_unique<ThreadPool>(NumDevices);
   PoolDevices = NumDevices;
 }

@@ -19,11 +19,12 @@
 ///      its dirty boundary values into the neighbors' rings, and the
 ///      backend accumulates the traffic (total, per device, per link).
 ///
-/// Each simulated device is driven by its own exec::ThreadPool worker (the
-/// pool holds one participant per device), so devices genuinely advance
-/// concurrently between wavefront barriers -- the multi-GPU execution
-/// model the paper's Sec. 5 block-level parallelism claim implies. One
-/// wavefront is a two-phase barrier:
+/// Each phase runs one chunk per device on an exec::ThreadPool that holds
+/// one participant per device, so devices can advance concurrently between
+/// wavefront barriers -- the multi-GPU execution model the paper's Sec. 5
+/// block-level parallelism claim implies. Which participant retires which
+/// device is not fixed: the caller may run several devices of a phase
+/// before a parked worker wakes. One wavefront is a two-phase barrier:
 ///
 ///     parallelFor(device: compute own queue)     -- phase 1
 ///         ... pool barrier (release/acquire) ...

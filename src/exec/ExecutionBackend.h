@@ -14,7 +14,7 @@
 ///
 ///  * SerialBackend replays instances in the order given -- the seed
 ///    executor's behavior, still the reference for differential runs.
-///  * ThreadPoolBackend spreads each wavefront across a work-stealing pool,
+///  * ThreadPoolBackend spreads each wavefront across a thread pool,
 ///    exercising the schedule's parallelism claim with real threads: an
 ///    illegal tiling that serialized replay might survive becomes a genuine
 ///    data race (a bit-exact mismatch, or a ThreadSanitizer report).
@@ -90,8 +90,9 @@ public:
                     const Wavefront &W) override;
 };
 
-/// Dispatches each wavefront across a persistent work-stealing thread pool;
-/// the pool's parallelFor barrier provides the wavefront barrier.
+/// Dispatches each wavefront across a persistent thread pool (chunks
+/// claimed from one shared cursor); the pool's parallelFor barrier provides
+/// the wavefront barrier.
 class ThreadPoolBackend final : public ExecutionBackend {
 public:
   /// \p NumThreads = 0 picks hardware concurrency; negative counts are

@@ -1,9 +1,9 @@
-//===- ThreadPool.cpp - Work-stealing thread pool -------------------------===//
+//===- ThreadPool.cpp - Shared-cursor thread pool -------------------------===//
 
 #include "exec/ThreadPool.h"
 
 #include <algorithm>
-#include <cassert>
+#include <exception>
 #include <stdexcept>
 #include <string>
 
@@ -20,16 +20,52 @@ unsigned exec::resolveNumThreads(int Requested) {
   return static_cast<unsigned>(Requested);
 }
 
+struct ThreadPool::Task {
+  Task(const std::function<void(size_t)> &Body, size_t N, size_t ChunkSize)
+      : Body(Body), N(N), ChunkSize(ChunkSize),
+        NumChunks((N + ChunkSize - 1) / ChunkSize), Remaining(NumChunks) {}
+
+  /// Claims and runs chunks until the cursor passes the last one. Body is
+  /// only touched after a successful claim, and the caller cannot pass the
+  /// barrier before every claimed chunk completed, so a late worker never
+  /// calls a body whose parallelFor has returned.
+  void work() {
+    size_t C;
+    while ((C = Next.fetch_add(1, std::memory_order_relaxed)) < NumChunks) {
+      if (!Abort.load(std::memory_order_relaxed)) {
+        try {
+          size_t End = std::min(N, (C + 1) * ChunkSize);
+          for (size_t I = C * ChunkSize; I < End; ++I)
+            Body(I);
+        } catch (...) {
+          std::lock_guard<std::mutex> Lock(ErrorMutex);
+          if (!Error)
+            Error = std::current_exception();
+          Abort.store(true, std::memory_order_relaxed);
+        }
+      }
+      // Release: pairs with the acquire load at the barrier, making every
+      // write of this chunk visible to the caller once it reads zero.
+      Remaining.fetch_sub(1, std::memory_order_release);
+    }
+  }
+
+  const std::function<void(size_t)> &Body;
+  const size_t N, ChunkSize, NumChunks;
+  std::atomic<size_t> Next{0};     ///< Claim cursor, in chunks.
+  std::atomic<size_t> Remaining;   ///< Chunks not yet completed.
+  std::atomic<bool> Abort{false};  ///< Set after the first exception.
+  std::mutex ErrorMutex;
+  std::exception_ptr Error;
+};
+
 ThreadPool::ThreadPool(unsigned NumThreads) {
   if (NumThreads == 0)
     NumThreads = resolveNumThreads(0);
-  Queues.reserve(NumThreads);
-  for (unsigned I = 0; I < NumThreads; ++I)
-    Queues.push_back(std::make_unique<WorkQueue>());
   // Participant 0 is the parallelFor caller; 1..NumThreads-1 are spawned.
   Workers.reserve(NumThreads - 1);
   for (unsigned I = 1; I < NumThreads; ++I)
-    Workers.emplace_back([this, I] { workerMain(I); });
+    Workers.emplace_back([this] { workerMain(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -42,77 +78,19 @@ ThreadPool::~ThreadPool() {
     W.join();
 }
 
-bool ThreadPool::grabChunk(unsigned Self, Chunk &Out) {
-  // Own deque: newest first (LIFO keeps the owner on its contiguous range).
-  {
-    WorkQueue &Q = *Queues[Self];
-    std::lock_guard<std::mutex> Lock(Q.M);
-    if (!Q.Chunks.empty()) {
-      Out = Q.Chunks.back();
-      Q.Chunks.pop_back();
-      return true;
-    }
-  }
-  // Steal: oldest first from the next non-empty victim, starting after Self
-  // so thieves spread instead of all hammering queue 0.
-  unsigned N = static_cast<unsigned>(Queues.size());
-  for (unsigned Step = 1; Step < N; ++Step) {
-    WorkQueue &Q = *Queues[(Self + Step) % N];
-    std::lock_guard<std::mutex> Lock(Q.M);
-    if (!Q.Chunks.empty()) {
-      Out = Q.Chunks.front();
-      Q.Chunks.pop_front();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::runChunk(const Chunk &C) {
-  size_t Done = C.End - C.Begin;
-  if (!Abort.load(std::memory_order_relaxed)) {
-    try {
-      for (size_t I = C.Begin; I < C.End; ++I)
-        (*Body)(I);
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> Lock(ErrorMutex);
-        if (!Error)
-          Error = std::current_exception();
-      }
-      Abort.store(true, std::memory_order_relaxed);
-    }
-  }
-  // Release: pairs with the acquire load in parallelFor's barrier, making
-  // every write of this chunk visible to whoever observes completion.
-  Remaining.fetch_sub(Done, std::memory_order_release);
-}
-
-void ThreadPool::workUntilDrained(unsigned Self) {
-  Chunk C;
-  while (Remaining.load(std::memory_order_acquire) != 0) {
-    if (grabChunk(Self, C))
-      runChunk(C);
-    else
-      // All chunks claimed but some still executing: yield until the
-      // stragglers finish (they may yet throw, so we cannot leave early).
-      std::this_thread::yield();
-  }
-}
-
-void ThreadPool::workerMain(unsigned Self) {
-  uint64_t SeenGeneration = 0;
+void ThreadPool::workerMain() {
+  // Holding the last task keeps its address from being reused, so a new
+  // address in Current always means a new parallelFor.
+  std::shared_ptr<Task> Mine;
   for (;;) {
     {
       std::unique_lock<std::mutex> Lock(TaskMutex);
-      TaskCv.wait(Lock, [&] {
-        return Shutdown || Generation != SeenGeneration;
-      });
+      TaskCv.wait(Lock, [&] { return Shutdown || Current != Mine; });
       if (Shutdown)
         return;
-      SeenGeneration = Generation;
+      Mine = Current;
     }
-    workUntilDrained(Self);
+    Mine->work();
   }
 }
 
@@ -129,65 +107,27 @@ void ThreadPool::parallelFor(size_t N, const std::function<void(size_t)> &Fn,
   }
 
   std::lock_guard<std::mutex> Submit(SubmitMutex);
-  Abort.store(false, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> Lock(ErrorMutex);
-    Error = nullptr;
-  }
-
-  // Publish the body BEFORE any chunk becomes visible: a straggler worker
-  // from the previous generation (still in its yield loop) may grab a fresh
-  // chunk the moment it lands in a queue, and must then see the new body.
-  // The previous barrier guarantees no chunk of the old task is in flight,
-  // and the queue mutex a grabber takes orders this write before its read.
-  {
-    std::lock_guard<std::mutex> Lock(TaskMutex);
-    Body = &Fn;
-  }
-
-  // The full count must be in place before the first chunk can be grabbed:
-  // a grabber's fetch_sub always applies to the latest value, so counting
-  // up after the fact could underflow past a straggler's early decrement.
-  Remaining.store(N, std::memory_order_release);
-
-  // Deal contiguous chunks round-robin: worker K's deque holds an
-  // interleaved share, and the back-to-front own-pop keeps each worker on
-  // adjacent iterations while thieves take from the far end.
-  unsigned P = static_cast<unsigned>(Queues.size());
   size_t ChunkSize =
       std::max({static_cast<size_t>(1), MinPerChunk,
-                N / (static_cast<size_t>(P) * 8)});
-  {
-    unsigned Q = 0;
-    for (size_t Begin = 0; Begin < N; Begin += ChunkSize, Q = (Q + 1) % P) {
-      Chunk C{Begin, std::min(N, Begin + ChunkSize)};
-      std::lock_guard<std::mutex> Lock(Queues[Q]->M);
-      assert((Begin >= static_cast<size_t>(P) * ChunkSize ||
-              Queues[Q]->Chunks.empty()) &&
-             "previous task not drained");
-      Queues[Q]->Chunks.push_back(C);
-      TasksDispatched.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+                N / (static_cast<size_t>(numThreads()) * 8)});
+  auto T = std::make_shared<Task>(Fn, N, ChunkSize);
+  TasksDispatched.fetch_add(T->NumChunks, std::memory_order_relaxed);
 
-  // Wake the sleeping workers; stragglers already see the work through
-  // Remaining. The mutex makes the setup above happen-before the wakeup.
+  // The mutex makes the task's construction happen-before any worker's
+  // first claim.
   {
     std::lock_guard<std::mutex> Lock(TaskMutex);
-    ++Generation;
+    Current = T;
   }
   TaskCv.notify_all();
 
-  // The caller works too; workUntilDrained returns only at Remaining == 0
-  // (acquire), i.e. after every iteration's writes are visible here.
-  workUntilDrained(0);
-
-  std::exception_ptr E;
-  {
-    std::lock_guard<std::mutex> Lock(ErrorMutex);
-    E = Error;
-    Error = nullptr;
-  }
-  if (E)
-    std::rethrow_exception(E);
+  // The caller claims too. Once the cursor is used up, other participants
+  // may still be running their last chunks (which may yet throw), so wait
+  // for Remaining == 0 (acquire): every iteration's writes are then
+  // visible here, and so is the error any chunk recorded.
+  T->work();
+  while (T->Remaining.load(std::memory_order_acquire) != 0)
+    std::this_thread::yield();
+  if (T->Error)
+    std::rethrow_exception(T->Error);
 }

@@ -1,22 +1,25 @@
-//===- ThreadPool.h - Work-stealing thread pool ----------------*- C++ -*-===//
+//===- ThreadPool.h - Shared-cursor thread pool -----------------*- C++ -*-===//
 //
 // Part of the hextile project (CGO'14 hybrid hexagonal tiling reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small work-stealing thread pool built for wavefront replay: the unit of
-/// work is a parallelFor over [0, N) whose iterations are mutually
-/// independent, and the call is a full barrier -- it returns only once every
-/// iteration has finished, with all worker writes visible to the caller
-/// (release stores on completion, acquire load at the barrier).
+/// A small thread pool built for wavefront replay: the unit of work is a
+/// parallelFor over [0, N) whose iterations are mutually independent, and
+/// the call is a full barrier -- it returns only once every iteration has
+/// finished, with all worker writes visible to the caller (release
+/// decrements on completion, acquire load at the barrier).
 ///
-/// The iteration space is split into contiguous chunks dealt round-robin to
-/// per-worker deques; an idle worker first drains its own deque (LIFO), then
-/// steals from the front of a victim's deque (FIFO), so stolen work is the
-/// oldest -- the classic Cilk/TBB discipline that keeps contiguous ranges
-/// hot in their owner's cache. The calling thread participates as worker 0,
-/// so a pool of size 1 degenerates to inline execution with no handoff.
+/// Each parallelFor publishes one task: the iteration space cut into equal
+/// contiguous chunks (the last may be shorter) and one claim cursor. Every
+/// participant, the caller included, claims the next chunk with a single
+/// fetch_add until the cursor passes the last chunk -- the discipline of one
+/// GPU launch whose thread blocks take block indices from a shared counter,
+/// which is how the emitted shim models the paper's per-row hexagonal
+/// launches. Chunks are therefore claimed in index order. The caller
+/// participates as worker 0, so a pool of size 1 degenerates to inline
+/// execution with no handoff.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,8 +30,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -45,9 +46,9 @@ namespace exec {
 /// constructor and every options surface resolve through it.
 unsigned resolveNumThreads(int Requested);
 
-/// Work-stealing pool of persistent threads. One parallelFor runs at a time
-/// (concurrent submissions are serialized); nesting parallelFor inside a
-/// worker body is not supported.
+/// Pool of persistent threads claiming chunks from one shared cursor. One
+/// parallelFor runs at a time (concurrent submissions are serialized);
+/// nesting parallelFor inside a worker body is not supported.
 class ThreadPool {
 public:
   /// \p NumThreads counts every participating thread including the caller of
@@ -81,57 +82,32 @@ public:
   void parallelFor(size_t N, const std::function<void(size_t)> &Fn,
                    size_t MinPerChunk = 1);
 
-  /// Chunks handed to worker deques over this pool's lifetime; inline
-  /// executions (small N, or a pool of one) dispatch none. Monotonic --
+  /// Chunks published by parallelFor over this pool's lifetime; inline
+  /// executions (small N, or a pool of one) publish none. Monotonic --
   /// callers measure a region by differencing. Only stable once the
-  /// dispatching parallelFor returned.
+  /// publishing parallelFor returned.
   uint64_t tasksDispatched() const {
     return TasksDispatched.load(std::memory_order_relaxed);
   }
 
 private:
-  /// A contiguous range of iterations.
-  struct Chunk {
-    size_t Begin = 0;
-    size_t End = 0;
-  };
+  /// One parallelFor's work, shared by every participant that claims from
+  /// it (defined in ThreadPool.cpp).
+  struct Task;
 
-  /// Per-worker chunk deque. A tiny mutex (not a lock-free deque) is enough
-  /// here: chunks are coarse, so the lock is taken rarely relative to work.
-  struct WorkQueue {
-    std::mutex M;
-    std::deque<Chunk> Chunks;
-  };
+  void workerMain();
 
-  /// Grabs the next chunk for worker \p Self: own deque back first, then
-  /// steal from the front of the first non-empty victim. Returns false when
-  /// no chunk is available anywhere.
-  bool grabChunk(unsigned Self, Chunk &Out);
-
-  /// Runs \p C, catching the first exception into Error / Abort.
-  void runChunk(const Chunk &C);
-
-  /// Participates in the current task until no iterations remain.
-  void workUntilDrained(unsigned Self);
-
-  void workerMain(unsigned Self);
-
-  std::vector<std::thread> Workers;
-  std::vector<std::unique_ptr<WorkQueue>> Queues; ///< One per participant.
-
-  std::mutex TaskMutex; ///< Guards task publication and wakeups.
+  std::mutex TaskMutex; ///< Guards Current and Shutdown.
   std::condition_variable TaskCv;
-  uint64_t Generation = 0; ///< Bumped per parallelFor; workers wait on it.
+  /// The latest published task. Workers hold their own reference while they
+  /// claim from it, so a worker that wakes late finds only a used-up cursor.
+  std::shared_ptr<Task> Current;
   bool Shutdown = false;
-  const std::function<void(size_t)> *Body = nullptr;
 
   std::mutex SubmitMutex; ///< Serializes concurrent parallelFor callers.
+  std::atomic<uint64_t> TasksDispatched{0}; ///< Lifetime published chunks.
 
-  std::atomic<size_t> Remaining{0}; ///< Iterations not yet completed.
-  std::atomic<uint64_t> TasksDispatched{0}; ///< Lifetime dispatched chunks.
-  std::atomic<bool> Abort{false};   ///< Set after the first exception.
-  std::mutex ErrorMutex;
-  std::exception_ptr Error;
+  std::vector<std::thread> Workers; ///< Last: they use every member above.
 };
 
 } // namespace exec

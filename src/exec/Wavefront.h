@@ -142,7 +142,7 @@ struct ReplayStats {
   size_t MaxWavefrontInstances = 0; ///< Largest single parallel batch.
   size_t KeyEvals = 0;      ///< Schedule-key evaluations (both passes).
 
-  /// Chunks the thread-pool backend dispatched to worker deques; wavefronts
+  /// Chunks the thread-pool backend published to its pool; wavefronts
   /// with at most the backend's batching floor of instances
   /// (ThreadPoolBackend::minTaskInstances) run inline on the caller and
   /// dispatch none.

@@ -323,19 +323,28 @@ private:
     return E;
   }
 
+  /// Consumes a numeric literal, if one is next, and returns its value.
+  std::optional<float> matchLiteral() {
+    if (check(TokenKind::FloatLiteral))
+      return static_cast<float>(advance().FloatValue);
+    if (check(TokenKind::IntLiteral))
+      return static_cast<float>(advance().IntValue);
+    return std::nullopt;
+  }
+
   ir::StencilExpr parseFactor() {
     if (failed())
       return ir::StencilExpr::constant(0);
-    if (match(TokenKind::Minus))
+    if (match(TokenKind::Minus)) {
+      // A minus directly on a literal is the constant's sign, so a printed
+      // negative constant (-0.0f included) reads back as one constant, not
+      // as a negation costing a FLOP.
+      if (std::optional<float> V = matchLiteral())
+        return ir::StencilExpr::constant(-*V);
       return ir::StencilExpr::neg(parseFactor());
-    if (check(TokenKind::FloatLiteral)) {
-      const Token &T = advance();
-      return ir::StencilExpr::constant(static_cast<float>(T.FloatValue));
     }
-    if (check(TokenKind::IntLiteral)) {
-      const Token &T = advance();
-      return ir::StencilExpr::constant(static_cast<float>(T.IntValue));
-    }
+    if (std::optional<float> V = matchLiteral())
+      return ir::StencilExpr::constant(*V);
     if (match(TokenKind::LParen)) {
       ir::StencilExpr E = parseExpr();
       expect(TokenKind::RParen, "to close the parenthesis");

@@ -135,6 +135,10 @@ std::string StencilExpr::str(std::span<const std::string> ReadNames) const {
   case ExprKind::Div:
     return "(" + LHS->str(ReadNames) + " / " + RHS->str(ReadNames) + ")";
   case ExprKind::Neg:
+    // The parser folds a minus written directly on a literal into the
+    // constant, so a negated literal keeps its own parentheses.
+    if (LHS->K == ExprKind::ConstF32)
+      return "(-(" + LHS->str(ReadNames) + "))";
     return "(-" + LHS->str(ReadNames) + ")";
   case ExprKind::Sqrt:
     return "sqrtf(" + LHS->str(ReadNames) + ")";

@@ -1,7 +1,7 @@
 //===- DeviceSimThreadedTest.cpp - Threaded multi-device race suite -----------===//
 //
-// The TSan-facing suite for the threaded DeviceSim execution model: every
-// simulated device runs on its own pool worker, advancing concurrently
+// The TSan-facing suite for the threaded DeviceSim execution model: the
+// simulated devices run on the pool's participants, advancing concurrently
 // between two-phase wavefront barriers (compute || barrier || push-halos
 // || barrier). Legal schedules must stay bit-exact against the naive
 // reference under that genuine concurrency -- and under ThreadSanitizer

@@ -1,12 +1,13 @@
-//===- ThreadPoolTest.cpp - Work-stealing pool & backend tests ----------------===//
+//===- ThreadPoolTest.cpp - Thread pool & pooled backend tests ----------------===//
 //
 // Covers the pool contract the wavefront replay leans on: every iteration
-// runs exactly once, the parallelFor barrier orders wavefronts (all writes
-// of front N visible to front N+1), worker exceptions propagate to the
-// caller, oversubscription (more threads than iterations) degenerates
-// cleanly -- and, through the oracle keys, that a deliberately race-y
-// illegal tiling is flagged by the differential check when replayed on real
-// threads.
+// runs exactly once, iterations of one call really run at the same time,
+// consecutive calls never share a chunk, the parallelFor barrier orders
+// wavefronts (all writes of front N visible to front N+1), worker
+// exceptions propagate to the caller, oversubscription (more threads than
+// iterations) degenerates cleanly -- and, through the oracle keys, that a
+// deliberately race-y illegal tiling is flagged by the differential check
+// when replayed on real threads.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +20,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 using namespace hextile;
@@ -49,6 +53,52 @@ TEST(ThreadPoolTest, RunsEveryIterationExactlyOnce) {
   });
   for (size_t I = 0; I < N; ++I)
     ASSERT_EQ(Counts[I].load(), 1) << "iteration " << I;
+}
+
+TEST(ThreadPoolTest, IterationsOverlapInTime) {
+  // Each of two iterations waits until the other has started, so both
+  // finish waiting only when they run at the same time. A pool that ran
+  // every chunk on the caller fails here at the deadline instead of
+  // hanging.
+  ThreadPool Pool(2);
+  std::atomic<bool> Started[2] = {false, false};
+  std::atomic<bool> SawOther[2] = {false, false};
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  Pool.parallelFor(2, [&](size_t I) {
+    Started[I].store(true);
+    while (!Started[1 - I].load()) {
+      if (std::chrono::steady_clock::now() > Deadline)
+        return;
+      std::this_thread::yield();
+    }
+    SawOther[I].store(true);
+  });
+  EXPECT_TRUE(SawOther[0].load()) << "iteration 1 never overlapped 0";
+  EXPECT_TRUE(SawOther[1].load()) << "iteration 0 never overlapped 1";
+}
+
+TEST(ThreadPoolTest, ConsecutiveCallsNeverShareChunks) {
+  // Back-to-back calls alternate a two-chunk task (one full chunk plus one
+  // iteration) with a many-chunk one, so workers that wake late meet the
+  // next call already under way. Each call's counters live on the heap only
+  // for that call: a worker running an old call's body after it returned
+  // would write freed memory (an ASan report), and a chunk claimed twice or
+  // never would leave a counter other than 1.
+  ThreadPool Pool(4);
+  for (int Call = 0; Call < 2000; ++Call) {
+    bool TwoChunks = Call % 2 == 0;
+    size_t MinPerChunk = TwoChunks ? 64 : 1;
+    size_t N = TwoChunks ? MinPerChunk + 1 : 4096;
+    auto Counts = std::make_unique<std::atomic<int>[]>(N);
+    Pool.parallelFor(
+        N,
+        [C = Counts.get()](size_t I) {
+          C[I].fetch_add(1, std::memory_order_relaxed);
+        },
+        MinPerChunk);
+    for (size_t I = 0; I < N; ++I)
+      ASSERT_EQ(Counts[I].load(), 1) << "call " << Call << " iteration " << I;
+  }
 }
 
 TEST(ThreadPoolTest, BarrierOrdersWavefronts) {

@@ -108,7 +108,39 @@ void expectRoundTrips(const ir::StencilProgram &P) {
   EXPECT_EQ(canonicalSource(Q), canonicalSource(P)) << P.name();
 }
 
+/// makeJacobi1D with \p Coeff in place of its 1/3 coefficient.
+ir::StencilProgram jacobi1DScaledBy(const ir::StencilExpr &Coeff) {
+  ir::StencilProgram P("jacobi1d", 1);
+  unsigned A = P.addField("A");
+  std::vector<ir::ReadAccess> Reads = {
+      {A, -1, {-1}}, {A, -1, {0}}, {A, -1, {1}}};
+  ir::StencilExpr RHS =
+      Coeff * ((ir::StencilExpr::read(0) + ir::StencilExpr::read(1)) +
+               ir::StencilExpr::read(2));
+  P.addStmt({"jacobi", A, std::move(Reads), RHS});
+  P.setSpaceSizes({32});
+  P.setTimeSteps(4);
+  return P;
+}
+
 } // namespace
+
+// A negative constant prints with a leading minus; it must read back as
+// one constant, not as a negation that adds a FLOP.
+TEST(RoundTripTest, NegativeConstant) {
+  expectRoundTrips(jacobi1DScaledBy(ir::StencilExpr::constant(-0.5f)));
+}
+
+// ...while a negated literal stays a negation.
+TEST(RoundTripTest, NegatedLiteral) {
+  expectRoundTrips(jacobi1DScaledBy(
+      ir::StencilExpr::neg(ir::StencilExpr::constant(0.5f))));
+}
+
+// The sign bit alone: -0.0f must not come back as a negated +0.0f.
+TEST(RoundTripTest, NegativeZeroConstant) {
+  expectRoundTrips(jacobi1DScaledBy(ir::StencilExpr::constant(-0.0f)));
+}
 
 TEST(RoundTripTest, Jacobi2D) { expectRoundTrips(ir::makeJacobi2D(16, 4)); }
 

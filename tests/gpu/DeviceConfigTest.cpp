@@ -52,8 +52,9 @@ TEST(DeviceTopologyTest, UniformSplitIsBalancedAndContiguous) {
   EXPECT_EQ(S.back().Hi, 64);
   for (size_t I = 0; I < S.size(); ++I) {
     EXPECT_EQ(S[I].width(), 16);
-    if (I)
+    if (I) {
       EXPECT_EQ(S[I].Lo, S[I - 1].Hi); // No gaps, no overlap.
+    }
   }
 }
 

@@ -29,8 +29,8 @@
 /// parallel block dimension in several pseudo-random orders, and shuffles
 /// equal-key (thread-parallel) instances, so an illegal schedule cannot hide
 /// behind one lucky interleaving. Runs replay through a pluggable
-/// ExecutionBackend (OracleOptions::Backend): serial, or a work-stealing
-/// thread pool that turns the parallelism claim into real concurrency.
+/// ExecutionBackend (OracleOptions::Backend): serial, or a thread pool that
+/// turns the parallelism claim into real concurrency.
 /// Diagnostics embed the seed and tiling so failures reproduce from the
 /// test log alone.
 ///

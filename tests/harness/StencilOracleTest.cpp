@@ -101,7 +101,7 @@ class StencilOracleSweep
 /// three randomized tile-parameter points, each checked for bit-exact
 /// agreement between the naive executor and all four schedule families --
 /// once replayed serially, and once with every wavefront's parallel
-/// instances spread across a 4-thread work-stealing pool (real concurrency,
+/// instances spread across a 4-thread pool (real concurrency,
 /// so an illegal tiling shows up as a data race, not just a bad
 /// serialization). The RNG draws are identical for both backends, so a
 /// pooled failure reproduces serially from the same logged seed.

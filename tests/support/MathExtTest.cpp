@@ -78,9 +78,10 @@ TEST(MathExtEdgeTest, NegativeDivisorsAcrossHelpers) {
       EXPECT_EQ(floorDiv(N, D), -ceilDiv(N, -D)) << N << "/" << D;
       // Quotient-remainder law coupling floorDiv with euclidMod:
       // for D > 0, N == floorDiv(N, D) * D + euclidMod(N, D).
-      if (D > 0)
+      if (D > 0) {
         EXPECT_EQ(floorDiv(N, D) * D + euclidMod(N, D), N)
             << N << "/" << D;
+      }
       int64_t M = euclidMod(N, D);
       EXPECT_GE(M, 0) << N << " mod " << D;
       EXPECT_LT(M, D < 0 ? -D : D) << N << " mod " << D;

@@ -144,10 +144,12 @@ TEST(AutoTunerTest, SecondTunePerformsZeroNewCompiles) {
   TuneResult Second = Tuner.tune(P);
   ASSERT_TRUE(Second.ok()) << Second.Error;
   EXPECT_EQ(Second.NewCompiles, 0u);
-  for (const TunedCandidate &C : Second.Candidates)
-    if (C.Measured)
+  for (const TunedCandidate &C : Second.Candidates) {
+    if (C.Measured) {
       EXPECT_EQ(C.How, service::RequestOutcome::MemoryHit)
           << C.str();
+    }
+  }
   // Same candidate space, same winner geometry scoring story.
   EXPECT_EQ(Second.Candidates.size(), First.Candidates.size());
 }
