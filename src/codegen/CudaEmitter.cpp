@@ -45,6 +45,31 @@ EmitTargetHooks cudaHooks(int64_t Threads) {
   };
   H.stageAccess = [](const std::string &Name, const std::string &Idx,
                      int64_t) { return Name + "[" + Idx + "]"; };
+  // One thread per element: consecutive threads touch consecutive
+  // addresses of a window row, so each warp's accesses coalesce.
+  H.copyWindow = [H](Source &Out, const EmissionPlan &Plan,
+                     const WindowCopy &Copy) {
+    int64_t Positions = 1;
+    for (int64_t N : Copy.Count)
+      Positions *= N;
+    for (unsigned F : Copy.Fields) {
+      H.openThreadLoop(
+          Out, Copy.Tid,
+          std::to_string(static_cast<int64_t>(Plan.Depth[F]) * Positions));
+      Out.line("ht_int ht_r = " + Copy.Tid + ";");
+      for (size_t Dim = Copy.Bind.size(); Dim-- > 0;)
+        for (const std::string &L : Copy.Bind[Dim])
+          Out.line(L);
+      Out.open("if (" + Copy.Guard + ")");
+      std::string Staged = H.stageAccess(Plan.stageArg(F), Copy.StageIdx,
+                                         Plan.stageTotalElems(F));
+      std::string Global = H.access(Plan, F, Copy.GlobalIdx);
+      Out.line(Copy.ToStaging ? Staged + " = " + Global + ";"
+                              : Global + " = " + Staged + ";");
+      Out.close();
+      H.closeThreadLoop(Out);
+    }
+  };
   return H;
 }
 

@@ -344,20 +344,28 @@ std::string skewTable(unsigned Dim) {
   return "ht_skew" + std::to_string(Dim);
 }
 
+/// Row-major index of \p Coords over the extents \p Strides (a Horner
+/// chain; Strides[0] is unused).
+std::string hornerIndex(const std::vector<std::string> &Coords,
+                        std::span<const int64_t> Strides) {
+  std::string L = Coords[0];
+  for (size_t Dim = 1; Dim < Coords.size(); ++Dim)
+    L = "(" + L + ") * " + i64(Strides[Dim]) + " + " + Coords[Dim];
+  return L;
+}
+
 /// Row-major linear offset of (s0 + off0, s1 + off1, ...) as a Horner
 /// chain over the (compile-time) grid extents.
 std::string linearOffsetExpr(const EmissionPlan &Plan,
                              std::span<const int64_t> Offsets) {
-  auto Coord = [&](unsigned Dim) {
+  std::vector<std::string> Coords;
+  for (unsigned Dim = 0; Dim < Plan.Rank; ++Dim) {
     int64_t Off = Dim < Offsets.size() ? Offsets[Dim] : 0;
-    if (Off == 0)
-      return coordVar(Dim);
-    return "(" + coordVar(Dim) + " + (" + i64(Off) + "))";
-  };
-  std::string L = Coord(0);
-  for (unsigned Dim = 1; Dim < Plan.Rank; ++Dim)
-    L = "(" + L + ") * " + i64(Plan.Sizes[Dim]) + " + " + Coord(Dim);
-  return L;
+    Coords.push_back(Off == 0 ? coordVar(Dim)
+                              : "(" + coordVar(Dim) + " + (" + i64(Off) +
+                                    "))");
+  }
+  return hornerIndex(Coords, Plan.Sizes);
 }
 
 /// Flat element index of field \p F at time step expression \p StepExpr:
@@ -381,18 +389,17 @@ std::string stagedIndexExpr(const EmissionPlan &Plan, unsigned F,
                             const std::string &StepExpr,
                             std::span<const int64_t> Offsets) {
   const StagingPlan &St = Plan.Staging;
-  auto WinCoord = [&](unsigned Dim) {
+  std::vector<std::string> Coords;
+  for (unsigned Dim = 0; Dim < Plan.Rank; ++Dim) {
     int64_t Off = Dim < Offsets.size() ? Offsets[Dim] : 0;
     std::string G = coordVar(Dim);
     if (Off != 0)
       G = G + " + (" + i64(Off) + ")";
-    if (St.StaticPlacement)
-      return "ht_emod(" + G + ", " + i64(St.Ext[Dim]) + ")";
-    return "(" + G + " - ht_wb" + std::to_string(Dim) + ")";
-  };
-  std::string L = WinCoord(0);
-  for (unsigned Dim = 1; Dim < Plan.Rank; ++Dim)
-    L = "(" + L + ") * " + i64(St.Ext[Dim]) + " + " + WinCoord(Dim);
+    Coords.push_back(St.StaticPlacement
+                         ? "ht_emod(" + G + ", " + i64(St.Ext[Dim]) + ")"
+                         : "(" + G + " - ht_wb" + std::to_string(Dim) + ")");
+  }
+  std::string L = hornerIndex(Coords, St.Ext);
   if (Plan.Depth[F] == 1)
     return L;
   std::string Slot =
@@ -515,60 +522,102 @@ void emitStageBases(Source &Out, const EmissionPlan &Plan) {
   }
 }
 
-/// Emits the cooperative load phase: for every field, a forall-threads
-/// sweep over its (depth x window) staging elements copying the current
-/// global value in, guarded to the grid (window cells outside the grid
-/// are never read by the guarded compute, so they stay unloaded), then
-/// one barrier before any staged value is consumed.
+/// One dimension of a WindowCopy under construction: the positions it
+/// spans, the lines binding a position, the bound position's global and
+/// staging coordinates and its grid test ("" when always inside).
+struct CopyAxis {
+  int64_t Count;
+  std::vector<std::string> Bind;
+  std::string Global, Staged, Guard;
+};
+
+/// Completes \p Copy from its dimensions \p Axes and the global bounds
+/// [RunLo, RunHi) of the innermost dimension's run, already clipped to the
+/// grid: the guards, the element indices of a bound position, and the
+/// run's per-tile declarations and first-cell indices. Under static
+/// placement the run's staging slots start at ht_emod(ht_run_lo, Ext) and
+/// wrap at most once, since the run spans at most Ext cells.
+void finishWindowCopy(const EmissionPlan &Plan, WindowCopy &Copy,
+                      const std::vector<CopyAxis> &Axes,
+                      const std::string &RunLo, const std::string &RunHi) {
+  const StagingPlan &St = Plan.Staging;
+  unsigned In = Plan.Rank - 1;
+  std::vector<std::string> Global, Staged;
+  for (unsigned Dim = 0; Dim < Plan.Rank; ++Dim) {
+    const CopyAxis &A = Axes[Dim];
+    Copy.Count.push_back(A.Count);
+    Copy.Bind.push_back(A.Bind);
+    Global.push_back(A.Global);
+    Staged.push_back(A.Staged);
+    if (A.Guard.empty())
+      continue;
+    Copy.Guard += (Copy.Guard.empty() ? "" : " && ") + A.Guard;
+    if (Dim < In)
+      Copy.OuterGuard = Copy.Guard;
+  }
+  std::string StageSlot = "ht_r * " + i64(St.WindowPoints) + " + ";
+  std::string GlobalSlot = "ht_r * " + i64(Plan.PointsPerCopy) + " + ";
+  Copy.StageIdx = StageSlot + hornerIndex(Staged, St.Ext);
+  Copy.GlobalIdx = GlobalSlot + hornerIndex(Global, Plan.Sizes);
+
+  Copy.RunSetup = {"const ht_int ht_run_lo = " + RunLo + ";",
+                   "const ht_int ht_run_hi = " + RunHi + ";"};
+  Global[In] = "ht_run_lo";
+  Copy.RunGlobalIdx = GlobalSlot + hornerIndex(Global, Plan.Sizes);
+  if (!St.StaticPlacement) {
+    Staged[In] = "(ht_run_lo - ht_wb" + std::to_string(In) + ")";
+    Copy.RunStageIdx = StageSlot + hornerIndex(Staged, St.Ext);
+    return;
+  }
+  std::string Ext = i64(St.Ext[In]);
+  Copy.RunSetup.push_back("const ht_int ht_run_slot = ht_emod(ht_run_lo, " +
+                          Ext + ");");
+  Copy.RunSetup.push_back(
+      "const ht_int ht_run_cut = ht_run_hi - ht_run_lo < " + Ext +
+      " - ht_run_slot ? ht_run_hi - ht_run_lo : " + Ext + " - ht_run_slot;");
+  Staged[In] = "ht_run_slot";
+  Copy.RunStageIdx = StageSlot + hornerIndex(Staged, St.Ext);
+  Staged[In] = "0";
+  Copy.RunWrapIdx = StageSlot + hornerIndex(Staged, St.Ext);
+}
+
+/// The cooperative load of every field: the whole (depth x window) box,
+/// guarded to the grid (window cells outside the grid are never read by
+/// the guarded compute, so they stay unloaded). Window placement stores
+/// at the window position, static placement at s mod Ext per dimension.
+WindowCopy stageLoadCopy(const EmissionPlan &Plan) {
+  const StagingPlan &St = Plan.Staging;
+  WindowCopy Copy;
+  Copy.Tid = "ht_ld";
+  for (unsigned F = 0; F < Plan.Program->fields().size(); ++F)
+    Copy.Fields.push_back(F);
+  std::vector<CopyAxis> Axes;
+  for (unsigned Dim = 0; Dim < Plan.Rank; ++Dim) {
+    std::string D = std::to_string(Dim), W = "ht_w" + D, G = "ht_g" + D;
+    std::string Ext = i64(St.Ext[Dim]), Size = i64(Plan.Sizes[Dim]);
+    Axes.push_back(
+        {St.Ext[Dim],
+         {"const ht_int " + W + " = ht_r % " + Ext + "; ht_r /= " + Ext + ";",
+          "const ht_int " + G + " = ht_wb" + D + " + " + W + ";"},
+         G,
+         St.StaticPlacement ? "ht_emod(" + G + ", " + Ext + ")" : W,
+         G + " >= 0 && " + G + " < " + Size});
+  }
+  unsigned In = Plan.Rank - 1;
+  std::string Wb = "ht_wb" + std::to_string(In);
+  std::string End = Wb + " + " + i64(St.Ext[In]);
+  std::string Size = i64(Plan.Sizes[In]);
+  finishWindowCopy(Plan, Copy, Axes, Wb + " > 0 ? " + Wb + " : 0",
+                   End + " < " + Size + " ? " + End + " : " + Size);
+  return Copy;
+}
+
+/// Emits the cooperative load phase (stageLoadCopy), then one barrier
+/// before any staged value is consumed.
 void emitStageLoads(Source &Out, const EmissionPlan &Plan,
                     const EmitTargetHooks &Hooks) {
-  const StagingPlan &St = Plan.Staging;
-  const ir::StencilProgram &P = *Plan.Program;
   Out.line("// Cooperative load phase: global -> staging window.");
-  for (unsigned F = 0; F < P.fields().size(); ++F) {
-    Hooks.openThreadLoop(Out, "ht_ld",
-                         i64(Plan.stageTotalElems(F)));
-    Out.line("ht_int ht_r = ht_ld;");
-    for (unsigned Dim = Plan.Rank; Dim-- > 0;) {
-      std::string D = std::to_string(Dim);
-      Out.line("const ht_int ht_w" + D + " = ht_r % " + i64(St.Ext[Dim]) +
-               "; ht_r /= " + i64(St.Ext[Dim]) + ";");
-      Out.line("const ht_int ht_g" + D + " = ht_wb" + D + " + ht_w" + D +
-               ";");
-    }
-    std::string Guard;
-    for (unsigned Dim = 0; Dim < Plan.Rank; ++Dim) {
-      std::string G = "ht_g" + std::to_string(Dim);
-      if (Dim)
-        Guard += " && ";
-      Guard += G + " >= 0 && " + G + " < " + i64(Plan.Sizes[Dim]);
-    }
-    // In-window store index: window-relative, or the static mapping.
-    auto StoreCoord = [&](unsigned Dim) -> std::string {
-      std::string D = std::to_string(Dim);
-      if (St.StaticPlacement)
-        return "ht_emod(ht_g" + D + ", " + i64(St.Ext[Dim]) + ")";
-      return "ht_w" + D;
-    };
-    std::string StoreIdx = StoreCoord(0);
-    for (unsigned Dim = 1; Dim < Plan.Rank; ++Dim)
-      StoreIdx = "(" + StoreIdx + ") * " + i64(St.Ext[Dim]) + " + " +
-                 StoreCoord(Dim);
-    std::string LoadIdx = "ht_g0";
-    for (unsigned Dim = 1; Dim < Plan.Rank; ++Dim)
-      LoadIdx = "(" + LoadIdx + ") * " + i64(Plan.Sizes[Dim]) + " + ht_g" +
-                std::to_string(Dim);
-    // ht_r is the rotating slot after the spatial decomposition (0 for
-    // depth-1 fields).
-    StoreIdx = "ht_r * " + i64(St.WindowPoints) + " + " + StoreIdx;
-    LoadIdx = "ht_r * " + i64(Plan.PointsPerCopy) + " + " + LoadIdx;
-    Out.open("if (" + Guard + ")");
-    Out.line(Hooks.stageAccess(Plan.stageArg(F), StoreIdx,
-                               Plan.stageTotalElems(F)) +
-             " = " + Hooks.access(Plan, F, LoadIdx) + ";");
-    Out.close();
-    Hooks.closeThreadLoop(Out);
-  }
+  Hooks.copyWindow(Out, Plan, stageLoadCopy(Plan));
   Hooks.barrier(Out);
 }
 
@@ -760,11 +809,11 @@ void emitOverlappedBody(Source &Out, const EmissionPlan &Plan,
 /// The ocopy kernel body: move every rotating slot of the tile's *core*
 /// column (margins excluded -- the neighbor owning each cell wrote the
 /// same bits) from the staged window back to global memory. Core columns
-/// are disjoint, so concurrent tiles never write the same cell.
+/// are disjoint, so concurrent tiles never write the same cell. Only the
+/// written fields move: read-only inputs were never modified.
 void emitOverlappedCopyBody(Source &Out, const EmissionPlan &Plan,
                             const EmitTargetHooks &Hooks) {
   const OverlappedPlan &Ov = Plan.Over;
-  const StagingPlan &St = Plan.Staging;
   emitStageBases(Out, Plan);
   Out.line("const ht_int ht_core_lo = S0 * " + i64(Ov.TileW) + ";");
   Out.line("const ht_int ht_core_raw = ht_core_lo + " + i64(Ov.TileW) +
@@ -772,44 +821,38 @@ void emitOverlappedCopyBody(Source &Out, const EmissionPlan &Plan,
   Out.line("const ht_int ht_core_hi = ht_core_raw < " +
            i64(Plan.Sizes[0]) + " ? ht_core_raw : " + i64(Plan.Sizes[0]) +
            ";");
+  WindowCopy Copy;
+  Copy.ToStaging = false;
+  Copy.Tid = "ht_cp";
   std::vector<bool> Written = writtenFields(Plan);
-  int64_t InnerAll = 1;
-  for (unsigned Dim = 1; Dim < Plan.Rank; ++Dim)
-    InnerAll *= Plan.Sizes[Dim];
-  for (unsigned F = 0; F < Plan.Program->fields().size(); ++F) {
-    if (!Written[F])
-      continue;
-    int64_t Count = static_cast<int64_t>(Plan.Depth[F]) * Ov.TileW *
-                    InnerAll;
-    Hooks.openThreadLoop(Out, "ht_cp", i64(Count));
-    Out.line("ht_int ht_r = ht_cp;");
-    for (unsigned Dim = Plan.Rank; Dim-- > 1;) {
-      std::string D = std::to_string(Dim);
-      Out.line("const ht_int ht_g" + D + " = ht_r % " +
-               i64(Plan.Sizes[Dim]) + "; ht_r /= " + i64(Plan.Sizes[Dim]) +
-               ";");
-    }
-    Out.line("const ht_int ht_c0 = ht_core_lo + ht_r % " + i64(Ov.TileW) +
-             "; ht_r /= " + i64(Ov.TileW) + ";");
-    // ht_r is the rotating slot after the spatial decomposition.
-    Out.open("if (ht_c0 < ht_core_hi)");
-    std::string GIdx = "ht_c0";
-    std::string SIdx = "(ht_c0 - ht_wb0)";
-    for (unsigned Dim = 1; Dim < Plan.Rank; ++Dim) {
-      std::string G = "ht_g" + std::to_string(Dim);
-      GIdx = "(" + GIdx + ") * " + i64(Plan.Sizes[Dim]) + " + " + G;
-      SIdx = "(" + SIdx + ") * " + i64(St.Ext[Dim]) + " + (" + G +
-             " - ht_wb" + std::to_string(Dim) + ")";
-    }
-    GIdx = "ht_r * " + i64(Plan.PointsPerCopy) + " + " + GIdx;
-    SIdx = "ht_r * " + i64(St.WindowPoints) + " + " + SIdx;
-    Out.line(Hooks.access(Plan, F, GIdx) + " = " +
-             Hooks.stageAccess(Plan.stageArg(F), SIdx,
-                               Plan.stageTotalElems(F)) +
-             ";");
-    Out.close();
-    Hooks.closeThreadLoop(Out);
+  for (unsigned F = 0; F < Plan.Program->fields().size(); ++F)
+    if (Written[F])
+      Copy.Fields.push_back(F);
+  // Dim 0 spans the core column, the untiled inner dimensions the grid.
+  std::string TileW = i64(Ov.TileW);
+  std::vector<CopyAxis> Axes = {
+      {Ov.TileW,
+       {"const ht_int ht_c0 = ht_core_lo + ht_r % " + TileW + "; ht_r /= " +
+        TileW + ";"},
+       "ht_c0",
+       "(ht_c0 - ht_wb0)",
+       "ht_c0 < ht_core_hi"}};
+  for (unsigned Dim = 1; Dim < Plan.Rank; ++Dim) {
+    std::string D = std::to_string(Dim), G = "ht_g" + D;
+    std::string Size = i64(Plan.Sizes[Dim]);
+    Axes.push_back(
+        {Plan.Sizes[Dim],
+         {"const ht_int " + G + " = ht_r % " + Size + "; ht_r /= " + Size +
+          ";"},
+         G,
+         "(" + G + " - ht_wb" + D + ")",
+         ""});
   }
+  if (Plan.Rank == 1)
+    finishWindowCopy(Plan, Copy, Axes, "ht_core_lo", "ht_core_hi");
+  else
+    finishWindowCopy(Plan, Copy, Axes, "0", i64(Plan.Sizes.back()));
+  Hooks.copyWindow(Out, Plan, Copy);
 }
 
 /// Emits the body of one kernel: for Hex/Hybrid \p Phase selects the

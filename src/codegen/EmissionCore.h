@@ -25,14 +25,14 @@
 ///    flavor and the `<prog>_host` driver. Targets parameterize it with
 ///    EmitTargetHooks, which choose surface syntax only (how a kernel
 ///    opens, the block index, how to open a forall-threads region, render
-///    a barrier, a buffer element access, a staging buffer, a launch), and
-///    the core emits identical *semantics* for every target: the same
-///    kernel set, loops, guards, statement dispatch and arithmetic,
-///    bit-exact with exec::executeInstance. When the compile's
-///    OptimizationConfig asks for shared-memory staging (Sec. 4.2), the
-///    body additionally renders the cooperative load phase, the barriers
-///    and the separate or interleaved copy-out over a per-tile StagingPlan
-///    window.
+///    a barrier, a buffer element access, a staging buffer, a launch, the
+///    loop of a staging copy), and the core emits identical *semantics*
+///    for every target: the same kernel set, loops, guards, statement
+///    dispatch and arithmetic, bit-exact with exec::executeInstance. When
+///    the compile's OptimizationConfig asks for shared-memory staging
+///    (Sec. 4.2), the body additionally renders the cooperative load
+///    phase, the barriers and the separate or interleaved copy-out over a
+///    per-tile StagingPlan window.
 ///
 ///  * Rendering utilities -- the indented Source builder, exact float
 ///    literal formatting (hex-floats, so emitted constants round-trip
@@ -254,6 +254,38 @@ struct EmissionPlan {
   }
 };
 
+/// One cooperative copy between the global rotating buffers and the
+/// staging windows: a kernel's load phase (global -> staging, every field)
+/// or the Overlapped ocopy (staging -> global, each written field's core
+/// column). The emission core evaluates its geometry once, as the C
+/// fragments below; EmitTargetHooks::copyWindow renders the copy loop from
+/// them.
+struct WindowCopy {
+  bool ToStaging = true;        ///< Load; false: copy staged cells out.
+  std::string Tid;              ///< Thread-id variable of the copy loop.
+  std::vector<unsigned> Fields; ///< Copied fields, every rotating slot each.
+  /// Per spatial dimension, outermost first: the positions the copy spans
+  /// and the lines binding a position's coordinates from the running
+  /// quotient ht_r (`... = ht_r % Count; ht_r /= Count;`). A loop binds
+  /// its dimensions innermost first; ht_r is then the rotating slot.
+  std::vector<int64_t> Count;
+  std::vector<std::vector<std::string>> Bind;
+  /// The grid test of a bound position over every dimension, and over the
+  /// outer dimensions only ("" when every outer position is inside).
+  std::string Guard, OuterGuard;
+  /// Staging and global element indices of a position with every
+  /// dimension bound.
+  std::string StageIdx, GlobalIdx;
+  /// The innermost run of one outer row. RunSetup declares, once per
+  /// tile, its global bounds [ht_run_lo, ht_run_hi) clipped to the grid
+  /// and, under static placement, ht_run_cut: the run's cells before its
+  /// staging slots wrap. RunStageIdx and RunGlobalIdx index the run's
+  /// first cell with the outer dimensions bound; RunWrapIdx is the staging
+  /// index the run resumes at after the wrap ("" when it cannot wrap).
+  std::vector<std::string> RunSetup;
+  std::string RunStageIdx, RunGlobalIdx, RunWrapIdx;
+};
+
 /// Syntax hooks one emission target provides to emitUnit.
 struct EmitTargetHooks {
   /// Opens the definition of kernel \p Name over the parameter list
@@ -310,6 +342,12 @@ struct EmitTargetHooks {
   std::function<std::string(const std::string &Name,
                             const std::string &IdxExpr, int64_t Total)>
       stageAccess;
+  /// Renders the loop of \p Copy (CUDA: one thread per element, so a
+  /// warp's accesses coalesce; host: one thread per rotating slot x outer
+  /// row, each copying its row's innermost run at once).
+  std::function<void(Source &Out, const EmissionPlan &Plan,
+                     const WindowCopy &Copy)>
+      copyWindow;
 };
 
 /// Emits everything of one unit below the target's prelude into \p Out:

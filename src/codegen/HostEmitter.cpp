@@ -64,7 +64,11 @@ std::string codegen::hostShimSource() {
 //  * every buffer element access -- global rotating buffers *and* the
 //    staging windows -- goes through HT_AT, which traps (with a
 //    diagnostic naming the buffer) on any out-of-bounds index instead of
-//    reading garbage.
+//    reading garbage;
+//  * the staging copies (the cooperative load and the overlapped ocopy)
+//    move one innermost window row at a time through HT_COPY_RUN, which
+//    checks the whole run against both buffers first and traps with
+//    HT_AT's diagnostic, naming the run's first out-of-range index.
 //
 //===----------------------------------------------------------------------===//
 
@@ -74,6 +78,7 @@ std::string codegen::hostShimSource() {
 #include <math.h>
 #include <stdio.h>
 #include <stdlib.h>
+#include <string.h>
 
 typedef long long ht_int;
 
@@ -331,6 +336,32 @@ static inline float *ht_at(float *Base, ht_int Idx, ht_int Total,
 
 #define HT_AT(arr, idx, total) (*ht_at((arr), (idx), (total), #arr))
 
+/// Traps through ht_at unless the run [Idx, Idx + N) lies inside
+/// [0, Total); the index reported is the run's first out-of-range one.
+static inline void ht_check_run(float *Base, ht_int Idx, ht_int N,
+                                ht_int Total, const char *What) {
+  if (Idx < 0 || Idx + N > Total)
+    ht_at(Base, Idx < 0 || Idx >= Total ? Idx : Total, Total, What);
+}
+
+/// Range-checked run copy: N consecutive floats from Src[SrcIdx] to
+/// Dst[DstIdx], after checking the whole run in both buffers (source
+/// first, as an element assignment evaluates it). N <= 0 copies nothing.
+static inline void ht_copy_run(float *Dst, ht_int DstIdx, ht_int DstTotal,
+                               const char *DstName, float *Src,
+                               ht_int SrcIdx, ht_int SrcTotal,
+                               const char *SrcName, ht_int N) {
+  if (N <= 0)
+    return;
+  ht_check_run(Src, SrcIdx, N, SrcTotal, SrcName);
+  ht_check_run(Dst, DstIdx, N, DstTotal, DstName);
+  memcpy(Dst + DstIdx, Src + SrcIdx, (size_t)N * sizeof(float));
+}
+
+#define HT_COPY_RUN(dst, dstIdx, dstTotal, src, srcIdx, srcTotal, n)         \
+  ht_copy_run((dst), (dstIdx), (dstTotal), #dst, (src), (srcIdx),            \
+              (srcTotal), #src, (n))
+
 #endif // HEXTILE_CUDA_SHIM_H
 )shim";
   return Prefix + portableHelperFunctions("static inline") + Suffix;
@@ -377,6 +408,49 @@ EmitTargetHooks hostHooks() {
                      int64_t Total) {
     return "HT_AT(" + Name + ", " + Idx + ", " + std::to_string(Total) +
            ")";
+  };
+  // One thread per rotating slot x outer row: the row's innermost run is
+  // contiguous in both buffers, so it moves through one range-checked
+  // HT_COPY_RUN instead of a decoded, guarded, checked access per cell.
+  H.copyWindow = [H](Source &Out, const EmissionPlan &Plan,
+                     const WindowCopy &Copy) {
+    for (const std::string &L : Copy.RunSetup)
+      Out.line(L);
+    int64_t Rows = 1;
+    for (size_t Dim = 0; Dim + 1 < Copy.Count.size(); ++Dim)
+      Rows *= Copy.Count[Dim];
+    for (unsigned F : Copy.Fields) {
+      auto Run = [&](const std::string &StageIdx,
+                     const std::string &GlobalIdx, const std::string &Len) {
+        std::string Staged = Plan.stageArg(F) + ", " + StageIdx + ", " +
+                             std::to_string(Plan.stageTotalElems(F));
+        std::string Global = Plan.fieldArg(F) + ", " + GlobalIdx + ", " +
+                             std::to_string(Plan.fieldTotalElems(F));
+        Out.line("HT_COPY_RUN(" +
+                 (Copy.ToStaging ? Staged + ", " + Global
+                                 : Global + ", " + Staged) +
+                 ", " + Len + ");");
+      };
+      H.openThreadLoop(
+          Out, Copy.Tid,
+          std::to_string(static_cast<int64_t>(Plan.Depth[F]) * Rows));
+      Out.line("ht_int ht_r = " + Copy.Tid + ";");
+      for (size_t Dim = Copy.Bind.size() - 1; Dim-- > 0;)
+        for (const std::string &L : Copy.Bind[Dim])
+          Out.line(L);
+      if (!Copy.OuterGuard.empty())
+        Out.open("if (" + Copy.OuterGuard + ")");
+      if (Copy.RunWrapIdx.empty()) {
+        Run(Copy.RunStageIdx, Copy.RunGlobalIdx, "ht_run_hi - ht_run_lo");
+      } else {
+        Run(Copy.RunStageIdx, Copy.RunGlobalIdx, "ht_run_cut");
+        Run(Copy.RunWrapIdx, Copy.RunGlobalIdx + " + ht_run_cut",
+            "ht_run_hi - ht_run_lo - ht_run_cut");
+      }
+      if (!Copy.OuterGuard.empty())
+        Out.close();
+      H.closeThreadLoop(Out);
+    }
   };
   return H;
 }

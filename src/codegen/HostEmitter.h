@@ -10,8 +10,9 @@
 /// execution model onto serial host execution (the blockIdx loop lives in
 /// HT_LAUNCH_1D, the threadIdx loop in HT_FOR_THREADS, __syncthreads() is
 /// a no-op "block-serial barrier", HT_SHARED is the per-block __shared__
-/// arena the Sec. 4.2 staging windows live in, and every buffer access --
-/// global and staged -- is bounds-checked). The unit exports one
+/// arena the Sec. 4.2 staging windows live in, every buffer access --
+/// global and staged -- is bounds-checked, and the staging copies move
+/// one range-checked window row at a time). The unit exports one
 /// `extern "C"` entry point,
 /// `<name>_run(float **fields)`, over the same rotating-buffer layout
 /// exec::GridStorage uses -- which is how the oracle's fourth mechanism

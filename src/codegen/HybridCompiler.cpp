@@ -6,6 +6,7 @@
 
 #include <cassert>
 #include <map>
+#include <stdexcept>
 
 using namespace hextile;
 using namespace hextile::codegen;
@@ -211,7 +212,19 @@ CompiledHybrid codegen::compileHybridTuned(const ir::StencilProgram &P,
 CompiledHybrid codegen::compileHybrid(const ir::StencilProgram &P,
                                       const TileSizeRequest &Sizes,
                                       const OptimizationConfig &Config) {
-  assert(P.verify().empty() && "compiling an invalid program");
+  // A request reaches here from outside (a compile-service client), so
+  // reject what the analyses and schedule constructors would assert on.
+  if (std::string Bad = P.verify(); !Bad.empty())
+    throw std::invalid_argument("invalid program " + P.name() + ": " + Bad);
+  size_t InnerDims = P.spaceRank() - 1;
+  if (!Sizes.InnerWidths.empty() && Sizes.InnerWidths.size() != InnerDims)
+    throw std::invalid_argument(
+        std::to_string(Sizes.InnerWidths.size()) + " inner tile widths for " +
+        std::to_string(InnerDims) + " inner dimensions of " + P.name());
+  for (int64_t W : Sizes.InnerWidths)
+    if (W < 1)
+      throw std::invalid_argument("inner tile width " + std::to_string(W) +
+                                  " is not positive");
   deps::DependenceInfo Deps = deps::analyzeDependences(P);
   std::vector<deps::ConeBounds> Cones = deps::computeAllConeBounds(Deps);
 
@@ -225,7 +238,11 @@ CompiledHybrid codegen::compileHybrid(const ir::StencilProgram &P,
   } else {
     std::optional<core::TileSizeChoice> Choice =
         core::selectTileSizes(P, Deps, Cones, Sizes.Constraints);
-    assert(Choice && "no tile size fits the shared-memory bound");
+    if (!Choice)
+      throw std::invalid_argument(
+          "no tile size of " + P.name() + " fits " +
+          std::to_string(Sizes.Constraints.SharedMemBytes) +
+          " bytes of shared memory within the size constraints");
     H = Sizes.H.value_or(Choice->Params.H);
     W0 = Sizes.W0.value_or(Choice->Params.W0);
     InnerW = Sizes.InnerWidths.empty() ? Choice->InnerWidths
@@ -233,7 +250,9 @@ CompiledHybrid codegen::compileHybrid(const ir::StencilProgram &P,
   }
 
   core::HexTileParams Params(H, W0, Cones[0].Delta0, Cones[0].Delta1);
-  assert(Params.isValid() && "tile sizes violate the width bound (1)");
+  if (!Params.isValid())
+    throw std::invalid_argument("tile sizes " + Params.str() +
+                                " violate the width bound (1)");
   std::vector<Rational> InnerD;
   for (unsigned I = 1; I < Cones.size(); ++I)
     InnerD.push_back(Cones[I].Delta1);

@@ -82,6 +82,10 @@ private:
 };
 
 /// Compiles \p P with the given tile-size request and optimization config.
+/// Throws std::invalid_argument, naming the bad value, for a request no
+/// schedule can be built from: a program that fails verify(), inner
+/// widths of the wrong count or below 1, constraints no tile size
+/// satisfies, or H/W0 violating the hexagon's width bound.
 CompiledHybrid compileHybrid(const ir::StencilProgram &P,
                              const TileSizeRequest &Sizes = {},
                              const OptimizationConfig &Config = {});

@@ -111,8 +111,9 @@ CompileKey service::makeCompileKey(const CompileRequest &R) {
     K.words(F.Rank);
   }
   K.words(P.stmts().size());
+  // Statement names are left out: they reach the emitted unit only as
+  // comments, and the printed form the parser reads back drops them.
   for (const ir::StencilStmt &S : P.stmts()) {
-    K.text(S.Name);
     K.words(S.WriteField, S.Reads.size());
     // Every declared read, referenced or not: each one can deepen the
     // rotating buffer the emitted unit allocates.

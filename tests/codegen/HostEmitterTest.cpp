@@ -153,13 +153,11 @@ __global__ void jacobi1d_phase0(ht_int ht_block, float *g_A, ht_int TT, ht_int S
   const ht_int s0_0 = S0 * 8 - TT * (0) + (-4);
   const ht_int ht_wb0 = s0_0 + (-1);
   // Cooperative load phase: global -> staging window.
-  HT_FOR_THREADS(ht_ld, 14) {
+  const ht_int ht_run_lo = ht_wb0 > 0 ? ht_wb0 : 0;
+  const ht_int ht_run_hi = ht_wb0 + 7 < 32 ? ht_wb0 + 7 : 32;
+  HT_FOR_THREADS(ht_ld, 2) {
     ht_int ht_r = ht_ld;
-    const ht_int ht_w0 = ht_r % 7; ht_r /= 7;
-    const ht_int ht_g0 = ht_wb0 + ht_w0;
-    if (ht_g0 >= 0 && ht_g0 < 32) {
-      HT_AT(ht_s_A, ht_r * 7 + ht_w0, 14) = HT_AT(g_A, ht_r * 32 + ht_g0, 64);
-    }
+    HT_COPY_RUN(ht_s_A, ht_r * 7 + (ht_run_lo - ht_wb0), 14, g_A, ht_r * 32 + ht_run_lo, 64, ht_run_hi - ht_run_lo);
   }
   __syncthreads();
   for (ht_int a = 0; a < 4; ++a) {
@@ -207,13 +205,11 @@ __global__ void jacobi1d_phase1(ht_int ht_block, float *g_A, ht_int TT, ht_int S
   const ht_int s0_0 = S0 * 8 - TT * (0) + (0);
   const ht_int ht_wb0 = s0_0 + (-1);
   // Cooperative load phase: global -> staging window.
-  HT_FOR_THREADS(ht_ld, 14) {
+  const ht_int ht_run_lo = ht_wb0 > 0 ? ht_wb0 : 0;
+  const ht_int ht_run_hi = ht_wb0 + 7 < 32 ? ht_wb0 + 7 : 32;
+  HT_FOR_THREADS(ht_ld, 2) {
     ht_int ht_r = ht_ld;
-    const ht_int ht_w0 = ht_r % 7; ht_r /= 7;
-    const ht_int ht_g0 = ht_wb0 + ht_w0;
-    if (ht_g0 >= 0 && ht_g0 < 32) {
-      HT_AT(ht_s_A, ht_r * 7 + ht_w0, 14) = HT_AT(g_A, ht_r * 32 + ht_g0, 64);
-    }
+    HT_COPY_RUN(ht_s_A, ht_r * 7 + (ht_run_lo - ht_wb0), 14, g_A, ht_r * 32 + ht_run_lo, 64, ht_run_hi - ht_run_lo);
   }
   __syncthreads();
   for (ht_int a = 0; a < 4; ++a) {
@@ -439,6 +435,82 @@ TEST(HostEmitterTest, StaticReusePlacementIsGated) {
   EXPECT_NE(Windowed.find(" - ht_wb0)"), std::string::npos);
   EXPECT_EQ(Windowed.find("+ ht_emod(s0, "), std::string::npos);
   EXPECT_NE(Placed.find("+ ht_emod(s0, "), std::string::npos);
+}
+
+namespace {
+
+/// The count text and body of every `HT_FOR_THREADS(<Tid>, <count>) {...}`
+/// loop in \p Src, in order.
+std::vector<std::pair<std::string, std::string>>
+threadLoops(const std::string &Src, const std::string &Tid) {
+  std::vector<std::pair<std::string, std::string>> Loops;
+  const std::string Head = "HT_FOR_THREADS(" + Tid + ", ";
+  for (size_t At = Src.find(Head); At != std::string::npos;
+       At = Src.find(Head, At + 1)) {
+    size_t CountAt = At + Head.size(), Open = Src.find(") {", At) + 2;
+    size_t End = Open + 1;
+    for (int Depth = 1; Depth > 0; ++End)
+      Depth += Src[End] == '{' ? 1 : Src[End] == '}' ? -1 : 0;
+    Loops.emplace_back(Src.substr(CountAt, Open - 2 - CountAt),
+                       Src.substr(Open, End - Open));
+  }
+  return Loops;
+}
+
+} // namespace
+
+/// The host stages windows by row: every load and ocopy thread loop runs
+/// over (rotating slot x outer rows), decodes only the outer dimensions
+/// and moves each row's innermost run with one HT_COPY_RUN.
+TEST(HostEmitterTest, StagingCopiesRunOverSlotsTimesOuterRows) {
+  struct Subject {
+    ir::StencilProgram P;
+    std::vector<int64_t> Inner;
+  };
+  for (const Subject &S : {Subject{ir::makeJacobi2D(48, 6), {6}},
+                           Subject{ir::makeHeat3D(16, 4), {4, 6}}}) {
+    CompiledHybrid C =
+        compile(S.P, 2, 3, S.Inner, OptimizationConfig::level('d'));
+    for (EmitSchedule F : {EmitSchedule::Hybrid, EmitSchedule::Classical,
+                           EmitSchedule::Overlapped}) {
+      SCOPED_TRACE(S.P.name() + " " + emitScheduleName(F));
+      EmissionPlan Plan = EmissionPlan::build(C, F);
+      std::string Src = emitHost(C, F);
+      // Outer rows: the window's outer extents (load); the core column
+      // times the inner grid extents but the last (ocopy).
+      int64_t LoadRows = 1, CopyRows = Plan.Over.TileW;
+      for (unsigned Dim = 0; Dim + 1 < Plan.Rank; ++Dim) {
+        LoadRows *= Plan.Staging.Ext[Dim];
+        if (Dim > 0)
+          CopyRows *= Plan.Sizes[Dim];
+      }
+      std::vector<bool> Written(S.P.fields().size(), false);
+      for (const ir::StencilStmt &St : S.P.stmts())
+        Written[St.WriteField] = true;
+      // One load per field in every staging kernel (both hybrid phases,
+      // the classical band, the oband), one ocopy per written field.
+      std::vector<int64_t> LoadCounts, CopyCounts;
+      for (int K = 0; K < (F == EmitSchedule::Hybrid ? 2 : 1); ++K)
+        for (unsigned Fld = 0; Fld < Written.size(); ++Fld)
+          LoadCounts.push_back(Plan.Depth[Fld] * LoadRows);
+      for (unsigned Fld = 0; Fld < Written.size(); ++Fld)
+        if (F == EmitSchedule::Overlapped && Written[Fld])
+          CopyCounts.push_back(Plan.Depth[Fld] * CopyRows);
+
+      for (auto [Tid, Counts] : {std::pair{"ht_ld", LoadCounts},
+                                 std::pair{"ht_cp", CopyCounts}}) {
+        auto Loops = threadLoops(Src, Tid);
+        ASSERT_EQ(Loops.size(), Counts.size()) << Tid;
+        for (size_t I = 0; I < Loops.size(); ++I) {
+          const std::string &Body = Loops[I].second;
+          EXPECT_EQ(Loops[I].first, std::to_string(Counts[I])) << Tid;
+          EXPECT_EQ(countOf(Body, "ht_r /= "), Plan.Rank - 1) << Body;
+          EXPECT_NE(Body.find("HT_COPY_RUN("), std::string::npos) << Body;
+          EXPECT_EQ(Body.find("HT_AT("), std::string::npos) << Body;
+        }
+      }
+    }
+  }
 }
 
 TEST(HostEmitterTest, GlobalDirectConfigStillAddressesGlobalBuffers) {

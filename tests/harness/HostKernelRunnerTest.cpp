@@ -139,6 +139,72 @@ TEST(HostKernelRunnerDeathTest, ShimTrapsStagedWindowEscape) {
   EXPECT_DEATH(Stage(-1), "out-of-bounds access to ht_s_A");
 }
 
+namespace {
+
+/// A staging load through the shim's run copy: fills an 8-float HT_SHARED
+/// window with -1, copies the run g_buf[gIdx, gIdx + n) (g_buf holds 6
+/// floats) to ht_s_A[sIdx, ...), and returns the window through \p out.
+constexpr const char *RunCopySource = R"cpp(#include "cuda_shim.h"
+extern "C" void ht_load_run(float *g_buf, ht_int gIdx, ht_int sIdx,
+                            ht_int n, float *out) {
+  HT_SHARED(ht_s_A, 8);
+  for (ht_int i = 0; i < 8; ++i)
+    HT_AT(ht_s_A, i, 8) = -1.0f;
+  HT_COPY_RUN(ht_s_A, sIdx, 8, g_buf, gIdx, 6, n);
+  for (ht_int i = 0; i < 8; ++i)
+    out[i] = HT_AT(ht_s_A, i, 8);
+}
+)cpp";
+
+using LoadRunFn = void (*)(float *, long long, long long, long long,
+                           float *);
+
+} // namespace
+
+TEST(HostKernelRunnerTest, RunCopyMovesExactlyItsCells) {
+  SKIP_WITHOUT_COMPILER();
+  JitUnit Unit;
+  ASSERT_EQ(Unit.build(RunCopySource), "");
+  auto Load = reinterpret_cast<LoadRunFn>(Unit.symbol("ht_load_run"));
+  ASSERT_NE(Load, nullptr);
+  float Global[6] = {0, 1, 2, 3, 4, 5};
+  float Out[8];
+  // A partial row: g_buf[1, 3) lands at ht_s_A[3, 5); its neighbours keep
+  // their fill in both buffers.
+  Load(Global, 1, 3, 2, Out);
+  const float Want[8] = {-1, -1, -1, 1, 2, -1, -1, -1};
+  for (int I = 0; I < 8; ++I)
+    EXPECT_EQ(Out[I], Want[I]) << "staging cell " << I;
+  for (int I = 0; I < 6; ++I)
+    EXPECT_EQ(Global[I], static_cast<float>(I));
+  // An empty run checks nothing and copies nothing, as an all-guarded
+  // element loop would.
+  Load(Global, 100, -100, 0, Out);
+  for (int I = 0; I < 8; ++I)
+    EXPECT_EQ(Out[I], -1.0f) << "staging cell " << I;
+}
+
+TEST(HostKernelRunnerDeathTest, RunCopyTrapsRunsCrossingEitherBufferEnd) {
+  SKIP_WITHOUT_COMPILER();
+  // A run is checked whole before any cell moves: one crossing either end
+  // of the global buffer or of the staging window aborts naming that
+  // buffer and the run's first out-of-range index.
+  JitUnit Unit;
+  ASSERT_EQ(Unit.build(RunCopySource), "");
+  auto Load = reinterpret_cast<LoadRunFn>(Unit.symbol("ht_load_run"));
+  ASSERT_NE(Load, nullptr);
+  float Global[6] = {0, 1, 2, 3, 4, 5};
+  float Out[8];
+  EXPECT_DEATH(Load(Global, 4, 0, 3, Out),
+               "out-of-bounds access to g_buf: index 6 not in \\[0, 6\\)");
+  EXPECT_DEATH(Load(Global, -2, 0, 3, Out),
+               "out-of-bounds access to g_buf: index -2 not in \\[0, 6\\)");
+  EXPECT_DEATH(Load(Global, 0, 6, 3, Out),
+               "out-of-bounds access to ht_s_A: index 8 not in \\[0, 8\\)");
+  EXPECT_DEATH(Load(Global, 0, -1, 3, Out),
+               "out-of-bounds access to ht_s_A: index -1 not in \\[0, 8\\)");
+}
+
 TEST(HostKernelRunnerTest, ShimCheckedAccessReadsInBounds) {
   SKIP_WITHOUT_COMPILER();
   JitUnit Unit;

@@ -14,7 +14,8 @@
 //    exactly once off the shared atomic counter;
 //  * bounds traps: HT_AT aborts with the correct buffer name when the
 //    out-of-bounds access happens on a worker thread (global buffers and
-//    HT_SHARED staging arenas both).
+//    HT_SHARED staging arenas both), and so does an HT_COPY_RUN run that
+//    crosses either end of either buffer.
 //
 // Machines without a system compiler skip (visibly, not silently).
 //
@@ -143,6 +144,19 @@ __global__ void stage(ht_int ht_block, ht_int idx) {
 }
 
 extern "C" void stage_run(ht_int idx) { HT_LAUNCH_1D(stage, 1, idx); }
+
+__global__ void run_copy(ht_int ht_block, float *g_buf, ht_int gIdx,
+                         ht_int sIdx, ht_int n) {
+  (void)ht_block;
+  HT_SHARED(ht_s_A, 8);
+  HT_FOR_THREADS(t0, 1)
+    HT_COPY_RUN(ht_s_A, sIdx, 8, g_buf, gIdx, 6, n);
+}
+
+extern "C" void run_copy_run(float *g_buf, ht_int gIdx, ht_int sIdx,
+                             ht_int n) {
+  HT_LAUNCH_1D(run_copy, 1, g_buf, gIdx, sIdx, n);
+}
 )cpp";
 
 using ProbeFn = long long (*)(long long);
@@ -222,4 +236,26 @@ TEST(ShimRuntimeDeathTest, SharedArenaTrapNamesBufferUnderParallelDispatch) {
   ASSERT_NE(Stage, nullptr);
   EXPECT_DEATH(Stage(9), "out-of-bounds access to ht_s_A");
   EXPECT_DEATH(Stage(-1), "out-of-bounds access to ht_s_A");
+}
+
+TEST(ShimRuntimeDeathTest, RunCopyTrapNamesBufferUnderParallelDispatch) {
+  if (!JitUnit::available())
+    GTEST_SKIP() << "no system C++ compiler; shim runtime not exercised";
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  JitUnit Unit;
+  ASSERT_EQ(Unit.build(TrapSource), "");
+  auto Run = reinterpret_cast<void (*)(float *, long long, long long,
+                                       long long)>(
+      Unit.symbol("run_copy_run"));
+  ASSERT_NE(Run, nullptr);
+  float Buf[6] = {0};
+  // The global buffer holds 6 floats, the staging window 8.
+  EXPECT_DEATH(Run(Buf, 4, 0, 3),
+               "out-of-bounds access to g_buf: index 6 not in \\[0, 6\\)");
+  EXPECT_DEATH(Run(Buf, -2, 0, 3),
+               "out-of-bounds access to g_buf: index -2 not in \\[0, 6\\)");
+  EXPECT_DEATH(Run(Buf, 0, 6, 3),
+               "out-of-bounds access to ht_s_A: index 8 not in \\[0, 8\\)");
+  EXPECT_DEATH(Run(Buf, 0, -1, 3),
+               "out-of-bounds access to ht_s_A: index -1 not in \\[0, 8\\)");
 }

@@ -638,6 +638,44 @@ TEST(CompileServiceTest, CudaTargetServesSourceUnitsWithoutACompiler) {
   fs::remove_all(Opts.StoreDir);
 }
 
+TEST(CompileServiceTest, UnbuildableRequestsFailWithoutKillingTheService) {
+  // Each request would reach an assert (in the schedule constructors, the
+  // tile-size selection or the program check) that aborts the whole
+  // process: each must fail alone, with the bad value named, and the
+  // service must keep compiling.
+  CompileService Svc;
+  auto Bad = [&](auto Edit, const std::string &Named) {
+    CompileRequest R = makeRequest(gallery()[2], 'd', TargetKind::Cuda);
+    Edit(R.Tiling);
+    CompileResult Res = Svc.compile(R);
+    EXPECT_FALSE(Res.ok());
+    EXPECT_EQ(Res.Stats.How, RequestOutcome::Failed);
+    EXPECT_NE(Res.Error.find(Named), std::string::npos) << Res.Error;
+  };
+  Bad([](codegen::TileSizeRequest &T) {
+        T = {};
+        T.Constraints.SharedMemBytes = 16;
+      },
+      "16 bytes");
+  Bad([](codegen::TileSizeRequest &T) { T.W0 = 0; }, "w0=0");
+  Bad([](codegen::TileSizeRequest &T) { T.InnerWidths = {0}; },
+      "inner tile width 0");
+  Bad([](codegen::TileSizeRequest &T) { T.InnerWidths = {6, 6}; },
+      "2 inner tile widths");
+  CompileRequest NoProgram;
+  NoProgram.Target = TargetKind::Cuda;
+  CompileResult Res = Svc.compile(NoProgram);
+  EXPECT_FALSE(Res.ok());
+  EXPECT_NE(Res.Error.find("no spatial dimensions"), std::string::npos)
+      << Res.Error;
+  EXPECT_EQ(Svc.counters().CompileFailures, 5u);
+
+  CompileResult Good =
+      Svc.compile(makeRequest(gallery()[2], 'd', TargetKind::Cuda));
+  ASSERT_TRUE(Good.ok()) << Good.Error;
+  EXPECT_EQ(Good.Stats.How, RequestOutcome::Compiled);
+}
+
 //===----------------------------------------------------------------------===//
 // Satellite 4 (service level): two processes sharing one store directory.
 //===----------------------------------------------------------------------===//
