@@ -7,8 +7,8 @@
 //   emit_ms      HostEmitter rendering time (text construction),
 //   cuda_emit_ms CudaEmitter rendering time,
 //   compile_ms   system-compiler JIT build of the emitted unit,
-//   run_ms       the fastest of 5 executions of the emitted entry point,
-//                each on buffers refilled (untimed) with the same values,
+//   run_ms       the fastest of 25 calls of the emitted entry point, each
+//                on buffers refilled (untimed) with the same values,
 //   mpoints_s    statement instances per second through the emitted code,
 //
 // across the Sec. 4.2 memory-strategy ladder: --config <letters> selects
@@ -23,10 +23,14 @@
 // threads, default 4) -- and each (program, flavor) additionally gets an
 // interpreted row (mode=interpreted): the devirtualized executor
 // replaying the same schedule key, so the json tracks the
-// serial-vs-parallel-vs-interpreted trajectory per commit. Each emitted
-// run's entry point is differential-verified against the reference
-// executor after it is timed, so the bench doubles as an end-to-end smoke
-// of the oracle's fourth mechanism at one JIT build per unit.
+// serial-vs-parallel-vs-interpreted trajectory per commit. Every unit of
+// the run is built and loaded first; the entries are then timed in
+// alternating rounds (one call of every unit per round), so a slow
+// stretch of the machine lands on every row instead of on the rows that
+// happened to run during it. Each emitted entry point is
+// differential-verified against the reference executor after the rounds,
+// so the bench doubles as an end-to-end smoke of the oracle's fourth
+// mechanism at one JIT build per unit.
 // Overlapped rows additionally record the redundancy-vs-traffic frontier
 // (cadence_steps: ticks per band; redundant_instances: the analytic
 // interior recomputation the banded cadence pays); the interpreted
@@ -55,15 +59,20 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <thread>
+#include <vector>
 
 using namespace hextile;
 using namespace hextile::bench;
 
 namespace {
 
-/// Entry calls timed per emitted unit; its run_ms is the fastest.
-constexpr int RunCalls = 5;
+/// Timing rounds over every emitted unit of the run: one call of each
+/// unit per round, and a unit's run_ms is its fastest call.
+constexpr int RunRounds = 25;
+
+using EntryFn = void (*)(float **);
 
 struct EmitCase {
   const char *Name;
@@ -72,6 +81,44 @@ struct EmitCase {
   int64_t H;
   int64_t W0;
   std::vector<int64_t> Inner;
+};
+
+/// One program of the run: the emitted entries' call buffers and the
+/// values every call starts from.
+struct ProgramRun {
+  ir::StencilProgram P;
+  int64_t Instances = 0;
+  exec::GridStorage Initial;
+  exec::GridStorage Buffers;
+  std::vector<float *> Ptrs;
+
+  explicit ProgramRun(const ir::StencilProgram &Prog)
+      : P(Prog), Initial(P, [](unsigned, std::span<const int64_t>) {
+          return 0.25f;
+        }),
+        Buffers(P, {}) {
+    for (unsigned F = 0; F < Buffers.numFields(); ++F)
+      Ptrs.push_back(Buffers.field(F).data());
+  }
+
+  /// Restores the call buffers to the initial values (untimed).
+  void refill() { Buffers.copyRows(Initial, 0, P.spaceSizes()[0]); }
+};
+
+/// One emitted row: what was emitted, its build, and its fastest call.
+struct EmittedRow {
+  size_t Prog = 0;
+  char Level = 'a';
+  codegen::EmitSchedule S = codegen::EmitSchedule::Hybrid;
+  bool Parallel = false;
+  /// A staged parallel unit runs one team; the others size theirs from
+  /// the machine, so the two kinds may ask the shim for different pools.
+  bool SingleTeam = false;
+  int64_t HostBytes = 0, CudaBytes = 0, CadenceSteps = 0, Redundant = 0;
+  double EmitMs = 0, CudaMs = 0, CompileMs = -1, RunMs = -1;
+  std::unique_ptr<harness::JitUnit> Unit;
+  EntryFn Entry = nullptr;
+  bool Built = false; ///< False when the compile or the entry lookup failed.
 };
 
 double msSince(std::chrono::steady_clock::time_point T0) {
@@ -205,140 +252,174 @@ int main(int argc, char **argv) {
               "flavor", "config", "mode", "emit_ms", "cuda_ms", "compile",
               "run_ms", "mpoints/s");
   int Failures = 0;
-  // The full-size gate: did any parallel row beat its serial counterpart?
-  bool AnyParallelWin = false;
-  bool AnyParallelRow = false;
+  std::vector<std::unique_ptr<ProgramRun>> Programs;
+  std::vector<EmittedRow> Rows;
+
+  // Emit and build every unit of the run before any is timed.
   for (const EmitCase &Cs : Cases) {
     ir::StencilProgram P = ir::makeByName(Cs.Name);
     P.setSpaceSizes(std::vector<int64_t>(P.spaceRank(), Cs.N));
     P.setTimeSteps(Cs.Steps);
+    Programs.push_back(std::make_unique<ProgramRun>(P));
+    Programs.back()->Instances =
+        core::IterationDomain::forProgram(P).numPoints();
     codegen::TileSizeRequest R;
     R.H = Cs.H;
     R.W0 = Cs.W0;
     R.InnerWidths = Cs.Inner;
-    core::IterationDomain Domain = core::IterationDomain::forProgram(P);
-    int64_t Instances = Domain.numPoints();
 
     for (char Level : Configs) {
       for (codegen::EmitSchedule S :
            {codegen::EmitSchedule::Hex, codegen::EmitSchedule::Hybrid,
             codegen::EmitSchedule::Classical,
             codegen::EmitSchedule::Overlapped}) {
-        double SerialM = -1;
-        for (const char *Mode : {"emitted-serial", "emitted-parallel"}) {
-          bool Parallel = Mode[8] == 'p';
+        for (bool Parallel : {false, true}) {
+          EmittedRow Row;
+          Row.Prog = Programs.size() - 1;
+          Row.Level = Level;
+          Row.S = S;
+          Row.Parallel = Parallel;
           codegen::OptimizationConfig Config =
               codegen::OptimizationConfig::level(Level);
           if (Parallel)
             Config.ShimThreads = ShimThreads;
           codegen::CompiledHybrid C =
               codegen::compileHybrid(P, R, Config);
-          int64_t CadenceSteps = 0, Redundant = 0;
-          cadenceColumns(codegen::EmissionPlan::build(C, S), P,
-                         CadenceSteps, Redundant);
+          codegen::EmissionPlan Plan = codegen::EmissionPlan::build(C, S);
+          cadenceColumns(Plan, P, Row.CadenceSteps, Row.Redundant);
+          Row.SingleTeam = Parallel && Plan.Staging.Enabled &&
+                           S != codegen::EmitSchedule::Overlapped;
           auto T0 = std::chrono::steady_clock::now();
           std::string HostSrc = codegen::emitHost(C, S);
-          double EmitMs = msSince(T0);
+          Row.EmitMs = msSince(T0);
           T0 = std::chrono::steady_clock::now();
           std::string CudaSrc = codegen::emitCuda(C, S);
-          double CudaMs = msSince(T0);
+          Row.CudaMs = msSince(T0);
+          Row.HostBytes = static_cast<int64_t>(HostSrc.size());
+          Row.CudaBytes = static_cast<int64_t>(CudaSrc.size());
 
-          double CompileMs = -1, RunMs = -1, MPointsPerSec = -1;
           if (Compiler) {
-            // One timed build; its entry point is timed below, then
-            // verified.
-            harness::JitUnit Unit;
+            Row.Unit = std::make_unique<harness::JitUnit>();
             T0 = std::chrono::steady_clock::now();
-            std::string Err = Unit.build(HostSrc);
-            CompileMs = msSince(T0);
+            std::string Err = Row.Unit->build(HostSrc);
+            Row.CompileMs = msSince(T0);
             if (!Err.empty()) {
               std::fprintf(stderr, "compile failed: %s\n", Err.c_str());
               ++Failures;
-              continue;
-            }
-            using EntryFn = void (*)(float **);
-            auto Entry = reinterpret_cast<EntryFn>(
-                Unit.symbol(codegen::hostEntryName(P)));
-            if (!Entry) {
+            } else if (!(Row.Entry = reinterpret_cast<EntryFn>(
+                             Row.Unit->symbol(codegen::hostEntryName(P))))) {
               std::fprintf(stderr, "entry point missing for %s\n",
                            Cs.Name);
               ++Failures;
-              continue;
-            }
-            // The fastest of RunCalls bare executions over GridStorage
-            // buffers, each refilled (untimed) with the same values.
-            exec::GridStorage Initial(
-                P, [](unsigned, std::span<const int64_t>) { return 0.25f; });
-            exec::GridStorage Buffers(P, {});
-            std::vector<float *> Ptrs;
-            for (unsigned F = 0; F < Buffers.numFields(); ++F)
-              Ptrs.push_back(Buffers.field(F).data());
-            for (int Call = 0; Call < RunCalls; ++Call) {
-              Buffers.copyRows(Initial, 0, P.spaceSizes()[0]);
-              T0 = std::chrono::steady_clock::now();
-              Entry(Ptrs.data());
-              double Ms = msSince(T0);
-              RunMs = Call == 0 ? Ms : std::min(RunMs, Ms);
-            }
-            if (RunMs > 0)
-              MPointsPerSec =
-                  static_cast<double>(Instances) / (RunMs / 1000.0) / 1e6;
-            if (!Parallel)
-              SerialM = MPointsPerSec;
-            else {
-              AnyParallelRow = true;
-              if (SerialM > 0 && MPointsPerSec > SerialM)
-                AnyParallelWin = true;
-            }
-            // Untimed: differential verification of the entry just timed,
-            // on freshly filled buffers (the parallel unit replays through
-            // its worker pool at the baked-in team size).
-            std::string Diff = harness::runEntryDifferential(
-                P, Entry, exec::defaultInit,
-                std::string("[emitted ") + codegen::emitScheduleName(S) +
-                    "] program=" + Cs.Name + " " + Mode);
-            if (!Diff.empty()) {
-              Unit.keepArtifacts();
-              std::fprintf(stderr,
-                           "verification failed: %s (emitted sources kept "
-                           "in %s)\n",
-                           Diff.c_str(), Unit.workDir().c_str());
-              ++Failures;
-              continue;
+            } else {
+              Row.Built = true;
             }
           }
-
-          std::printf(
-              "%-12s %-10s %-7c %-17s %9.2f %9.2f %9.2f %9.2f %10.2f\n",
-              Cs.Name, codegen::emitScheduleName(S), Level, Mode, EmitMs,
-              CudaMs, CompileMs, RunMs, MPointsPerSec);
-          JsonRow Row;
-          Row.str("program", Cs.Name)
-              .str("flavor", codegen::emitScheduleName(S))
-              .str("config", std::string(1, Level))
-              .str("mode", Mode)
-              .num("shim_threads", static_cast<int64_t>(Parallel ? ShimThreads : 0))
-              .num("n", Cs.N)
-              .num("steps", Cs.Steps)
-              .num("instances", Instances)
-              .num("host_bytes", static_cast<int64_t>(HostSrc.size()))
-              .num("cuda_bytes", static_cast<int64_t>(CudaSrc.size()))
-              .num("emit_ms", EmitMs)
-              .num("cuda_emit_ms", CudaMs)
-              .num("compile_ms", CompileMs)
-              .num("run_ms", RunMs)
-              .num("mpoints_s", MPointsPerSec)
-              .num("cadence_steps", CadenceSteps)
-              .num("redundant_instances", Redundant);
-          Report.add(Row);
+          Rows.push_back(std::move(Row));
         }
       }
+    }
+  }
+
+  // Alternating rounds: one call of every built unit per round, each on
+  // freshly refilled buffers. A parallel unit that asks the shim for the
+  // other kind of pool than the previous parallel call gets one untimed
+  // call first, so no timed call pays for re-shaping the pool.
+  int PoolKind = -1;
+  for (int Round = 0; Round < RunRounds; ++Round)
+    for (EmittedRow &Row : Rows) {
+      if (!Row.Built)
+        continue;
+      ProgramRun &PR = *Programs[Row.Prog];
+      if (Row.Parallel && PoolKind != Row.SingleTeam) {
+        PoolKind = Row.SingleTeam;
+        PR.refill();
+        Row.Entry(PR.Ptrs.data());
+      }
+      PR.refill();
+      auto T0 = std::chrono::steady_clock::now();
+      Row.Entry(PR.Ptrs.data());
+      double Ms = msSince(T0);
+      Row.RunMs = Round == 0 ? Ms : std::min(Row.RunMs, Ms);
+    }
+
+  // The full-size gate: did any parallel row beat its serial counterpart?
+  bool AnyParallelWin = false;
+  bool AnyParallelRow = false;
+  double SerialM = -1;
+  size_t Next = 0;
+  for (size_t Prog = 0; Prog < Programs.size(); ++Prog) {
+    const EmitCase &Cs = Cases[Prog];
+    const ir::StencilProgram &P = Programs[Prog]->P;
+    int64_t Instances = Programs[Prog]->Instances;
+    for (; Next < Rows.size() && Rows[Next].Prog == Prog; ++Next) {
+      EmittedRow &Row = Rows[Next];
+      const char *Mode = Row.Parallel ? "emitted-parallel" : "emitted-serial";
+      if (!Row.Parallel)
+        SerialM = -1;
+      double MPointsPerSec = -1;
+      if (Compiler) {
+        if (!Row.Built)
+          continue;
+        if (Row.RunMs > 0)
+          MPointsPerSec =
+              static_cast<double>(Instances) / (Row.RunMs / 1000.0) / 1e6;
+        if (!Row.Parallel)
+          SerialM = MPointsPerSec;
+        else {
+          AnyParallelRow = true;
+          if (SerialM > 0 && MPointsPerSec > SerialM)
+            AnyParallelWin = true;
+        }
+        // Untimed: differential verification of the entry just timed,
+        // on freshly filled buffers (the parallel unit replays through
+        // the shim's worker pool at the baked-in team size).
+        std::string Diff = harness::runEntryDifferential(
+            P, Row.Entry, exec::defaultInit,
+            std::string("[emitted ") + codegen::emitScheduleName(Row.S) +
+                "] program=" + Cs.Name + " " + Mode);
+        if (!Diff.empty()) {
+          Row.Unit->keepArtifacts();
+          std::fprintf(stderr,
+                       "verification failed: %s (emitted sources kept "
+                       "in %s)\n",
+                       Diff.c_str(), Row.Unit->workDir().c_str());
+          ++Failures;
+          continue;
+        }
+      }
+
+      std::printf(
+          "%-12s %-10s %-7c %-17s %9.2f %9.2f %9.2f %9.2f %10.2f\n",
+          Cs.Name, codegen::emitScheduleName(Row.S), Row.Level, Mode,
+          Row.EmitMs, Row.CudaMs, Row.CompileMs, Row.RunMs, MPointsPerSec);
+      JsonRow J;
+      J.str("program", Cs.Name)
+          .str("flavor", codegen::emitScheduleName(Row.S))
+          .str("config", std::string(1, Row.Level))
+          .str("mode", Mode)
+          .num("shim_threads",
+               static_cast<int64_t>(Row.Parallel ? ShimThreads : 0))
+          .num("n", Cs.N)
+          .num("steps", Cs.Steps)
+          .num("instances", Instances)
+          .num("host_bytes", Row.HostBytes)
+          .num("cuda_bytes", Row.CudaBytes)
+          .num("emit_ms", Row.EmitMs)
+          .num("cuda_emit_ms", Row.CudaMs)
+          .num("compile_ms", Row.CompileMs)
+          .num("run_ms", Row.RunMs)
+          .num("mpoints_s", MPointsPerSec)
+          .num("cadence_steps", Row.CadenceSteps)
+          .num("redundant_instances", Row.Redundant);
+      Report.add(J);
     }
 
     // The interpreted baseline, once per (program, flavor): the
     // devirtualized executor replaying the same schedule key the emitted
     // kernels render, serially over GridStorage. The memory-strategy
     // rung does not exist for the interpreter, so config is "-".
+    core::IterationDomain Domain = core::IterationDomain::forProgram(P);
     for (codegen::EmitSchedule S :
          {codegen::EmitSchedule::Hex, codegen::EmitSchedule::Hybrid,
           codegen::EmitSchedule::Classical}) {

@@ -5,11 +5,15 @@
 using namespace hextile;
 using namespace hextile::codegen;
 
+#define HEXTILE_STR2(X) #X
+#define HEXTILE_STR(X) HEXTILE_STR2(X)
+
 std::string codegen::hostShimSource() {
-  // Composed from one prefix/suffix literal pair around the EmissionCore
-  // runtime helpers (shared with the CUDA prelude, so the bit-exactness
-  // semantics have a single definition); tests/harness/HostKernelRunner
-  // materializes the result as cuda_shim.h next to each emitted unit.
+  // Composed from one prefix/suffix literal pair (the prefix spells
+  // HostShimAbi) around the EmissionCore runtime helpers (shared with the
+  // CUDA prelude, so the bit-exactness semantics have a single
+  // definition); service/JitUnit materializes the result as cuda_shim.h
+  // next to each emitted unit.
   std::string Prefix =
       R"shim(//===- cuda_shim.h - CUDA execution model on the host ---------------------===//
 //
@@ -38,13 +42,17 @@ std::string codegen::hostShimSource() {
 //    indices from a shared atomic counter), HT_SHIM_THREADS threads per
 //    team -- so the emitted kernels' concurrency claims are actually
 //    raced, not serialized away;
+//  * the pool, the launch and the barrier live in the loading process
+//    (hextile's service/ShimRuntime), not in this unit: the loader hands
+//    the runtime's function table to the exported ht_shim_bind right after
+//    loading the unit, and a launch on an unbound unit traps;
 //  * HT_FOR_THREADS strides the logical thread ids across the team's
 //    physical threads (tid = rank, rank + T, ...);
 //  * __syncthreads() is a real barrier (phase-counting, acquire/release)
 //    across the team's threads;
 //  * HT_THREADS is the physical team size, HT_SHIM_TEAMS / HT_SHIM_THREADS
-//    environment variables re-shape the pool at run time (the macro value
-//    is only the baked-in default);
+//    environment variables re-shape the pool at every launch (the macro
+//    value is only this unit's baked-in default);
 //  * staged units additionally define HT_SHIM_SINGLE_TEAM: their
 //    cooperative loads read a rectangular over-approximation of the tile's
 //    live-in window, so concurrent *blocks* could race on halo cells the
@@ -52,7 +60,25 @@ std::string codegen::hostShimSource() {
 //    the intra-block threads still rendezvous at every emitted barrier;
 //  * the whole launch is synchronous (returns when every block retired),
 //    and concurrent launches from different host threads serialize on one
-//    mutex -- same observable behavior as the serial shim.
+//    process-wide mutex -- same observable behavior as the serial shim.
+//
+// The bind contract (parallel mode). The unit exports
+//
+//   extern "C" int ht_shim_bind(const ht_shim_runtime *Rt);
+//
+// which stores Rt and returns 0 when Rt->abi equals HT_SHIM_ABI, and
+// returns nonzero, leaving the unit unbound, otherwise. The table holds
+// the ABI number, launch (one synchronous launch: the block body, its
+// context, the block count, the baked-in team size and the single-team
+// flag) and barrier (the calling worker's team rendezvous). Runs on the
+// runtime call the unit's trampoline once per block with the worker's
+// rank and team size, which HT_FOR_THREADS and HT_THREADS read. hextile
+// binds every unit it loads, right after dlopen, and treats a nonzero
+// return as a load failure; to run a kept parallel unit by other means,
+// call ht_shim_bind with a compatible table before the first launch.
+// The runtime keeps one pool per process: a child forked after its
+// parent launched starts a fresh one instead of waiting on the parent's
+// workers.
 //
 // Both modes:
 //
@@ -68,17 +94,23 @@ std::string codegen::hostShimSource() {
 //  * the staging copies (the cooperative load and the overlapped ocopy)
 //    move one innermost window row at a time through HT_COPY_RUN, which
 //    checks the whole run against both buffers first and traps with
-//    HT_AT's diagnostic, naming the run's first out-of-range index.
+//    HT_AT's diagnostic, naming the run's first out-of-range index;
+//  * no system header is included: the few C library entry points the
+//    units call are declared below, and the copy is __builtin_memcpy.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef HEXTILE_CUDA_SHIM_H
 #define HEXTILE_CUDA_SHIM_H
 
-#include <math.h>
-#include <stdio.h>
-#include <stdlib.h>
-#include <string.h>
+extern "C" {
+float sqrtf(float);
+float fabsf(float);
+int dprintf(int, const char *, ...);
+}
+
+/// The ht_shim_runtime version this unit accepts (parallel mode).
+#define HT_SHIM_ABI )shim" HEXTILE_STR(HEXTILE_HOST_SHIM_ABI) R"shim(
 
 typedef long long ht_int;
 
@@ -106,214 +138,76 @@ static inline void __syncthreads(void) {}
 /// itself.
 #define HT_THREADS ((ht_int)1)
 
-#else // HT_SHIM_THREADS > 0: the parallel runtime.
+#else // HT_SHIM_THREADS > 0: blocks run on the runtime bound at load.
 
-#include <atomic>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
-#include <vector>
+/// Plays block Block of the launch Ctx describes, as rank Rank of a team
+/// of Size threads.
+typedef void (*ht_shim_block_fn)(const void *Ctx, ht_int Block,
+                                 ht_int Rank, ht_int Size);
 
-namespace ht_shim {
+/// The worker-team runtime the loader binds into this unit. abi comes
+/// first, so a table of any other layout is rejected before it is used.
+typedef struct ht_shim_runtime {
+  ht_int abi;
+  /// One synchronous launch of NBlocks blocks: teams of Threads threads
+  /// (the baked-in default the environment may override), one team when
+  /// SingleTeam is nonzero.
+  void (*launch)(ht_shim_block_fn Fn, const void *Ctx, ht_int NBlocks,
+                 ht_int Threads, ht_int SingleTeam);
+  /// __syncthreads(): the calling worker's team rendezvous.
+  void (*barrier)(void);
+} ht_shim_runtime;
 
-/// One worker team: plays one CUDA block at a time with Size threads.
-struct Team {
-  ht_int Size = 1;
-  std::atomic<ht_int> Arrived{0};
-  std::atomic<ht_int> Phase{0};
-  /// Next block index to play; written by rank 0, published to the other
-  /// ranks by the barrier below.
-  ht_int CurBlock = 0;
+static const ht_shim_runtime *ht_shim_rt = 0;
+static thread_local ht_int ht_shim_rank = 0;
+static thread_local ht_int ht_shim_size = 1;
 
-  /// Phase-counting rendezvous: the last arrival resets the count *before*
-  /// bumping the phase, so stragglers of barrier N can never be counted
-  /// into barrier N+1.
-  void barrier() {
-    ht_int P = Phase.load(std::memory_order_relaxed);
-    if (Arrived.fetch_add(1, std::memory_order_acq_rel) == Size - 1) {
-      Arrived.store(0, std::memory_order_relaxed);
-      Phase.store(P + 1, std::memory_order_release);
-    } else {
-      while (Phase.load(std::memory_order_acquire) == P)
-        std::this_thread::yield();
-    }
-  }
-};
-
-static thread_local Team *CurTeam = nullptr;
-static thread_local ht_int CurRank = 0;
-static thread_local ht_int CurSize = 1;
-
-/// Environment override (HT_SHIM_THREADS / HT_SHIM_TEAMS), clamped to
-/// [1, 256]; \p Fallback when unset or unparsable.
-static ht_int envOr(const char *Name, ht_int Fallback) {
-  const char *V = getenv(Name);
-  ht_int N = (V && *V) ? atoll(V) : Fallback;
-  if (N < 1)
-    N = Fallback;
-  return N > 256 ? 256 : N;
-}
-
-/// The per-unit worker pool: TeamCount teams of TeamSize threads, created
-/// on first launch and re-shaped whenever the environment asks for a
-/// different geometry; joined when the unit is dlclosed.
-struct Pool {
-  ht_int TeamSize = 0;
-  ht_int TeamCount = 0;
-  std::vector<Team *> Teams;
-  std::vector<std::thread> Workers;
-
-  std::mutex M;
-  std::condition_variable WorkCv, DoneCv;
-  bool Shutdown = false;
-  unsigned long long Epoch = 0;
-  ht_int DoneThreads = 0;
-  void (*JobFn)(const void *, ht_int) = nullptr;
-  const void *JobCtx = nullptr;
-  ht_int JobBlocks = 0;
-  std::atomic<ht_int> NextBlock{0};
-
-  ~Pool() { stop(); }
-
-  void stop() {
-    if (!Workers.empty()) {
-      {
-        std::lock_guard<std::mutex> L(M);
-        Shutdown = true;
-      }
-      WorkCv.notify_all();
-      for (std::thread &W : Workers)
-        W.join();
-      Workers.clear();
-      Shutdown = false;
-    }
-    for (Team *T : Teams)
-      delete T;
-    Teams.clear();
-  }
-
-  /// (Re)builds the pool to match the requested geometry. Only called
-  /// between launches, under the launch mutex.
-  void ensure() {
-    ht_int WantSize = envOr("HT_SHIM_THREADS", HT_SHIM_THREADS);
-#if defined(HT_SHIM_SINGLE_TEAM)
-    ht_int WantCount = 1; // Staged unit: blocks stay serial (see header).
-#else
-    ht_int HW = (ht_int)std::thread::hardware_concurrency();
-    if (HW < 1)
-      HW = 1;
-    ht_int DefaultCount = HW / WantSize;
-    if (DefaultCount < 1)
-      DefaultCount = 1;
-    ht_int WantCount = envOr("HT_SHIM_TEAMS", DefaultCount);
-#endif
-    if (WantSize == TeamSize && WantCount == TeamCount)
-      return;
-    stop();
-    TeamSize = WantSize;
-    TeamCount = WantCount;
-    for (ht_int T = 0; T < TeamCount; ++T) {
-      Teams.push_back(new Team());
-      Teams.back()->Size = TeamSize;
-    }
-    // Workers capture the current epoch at spawn (not at first wakeup):
-    // a pool re-shaped after earlier launches must not hand the stale job
-    // to -- or hide the next job from -- a freshly spawned thread.
-    for (ht_int T = 0; T < TeamCount; ++T)
-      for (ht_int R = 0; R < TeamSize; ++R)
-        Workers.emplace_back(&Pool::work, this, T, R, Epoch);
-  }
-
-  void work(ht_int TeamIdx, ht_int Rank, unsigned long long Seen) {
-    Team &T = *Teams[TeamIdx];
-    CurTeam = &T;
-    CurRank = Rank;
-    CurSize = T.Size;
-    for (;;) {
-      void (*Fn)(const void *, ht_int);
-      const void *Ctx;
-      ht_int NBlocks;
-      {
-        std::unique_lock<std::mutex> L(M);
-        WorkCv.wait(L, [&] { return Shutdown || Epoch != Seen; });
-        if (Shutdown)
-          return;
-        Seen = Epoch;
-        Fn = JobFn;
-        Ctx = JobCtx;
-        NBlocks = JobBlocks;
-      }
-      for (;;) {
-        if (Rank == 0)
-          T.CurBlock = NextBlock.fetch_add(1, std::memory_order_relaxed);
-        T.barrier();
-        ht_int B = T.CurBlock;
-        if (B >= NBlocks)
-          break;
-        Fn(Ctx, B);
-        T.barrier();
-      }
-      {
-        std::lock_guard<std::mutex> L(M);
-        if (++DoneThreads == TeamCount * TeamSize)
-          DoneCv.notify_one();
-      }
-    }
-  }
-
-  /// Runs one synchronous launch: every worker retires blocks until the
-  /// shared counter runs dry, and the launcher returns only after all
-  /// threads checked in (so every kernel write happens-before the return).
-  void run(void (*Fn)(const void *, ht_int), const void *Ctx,
-           ht_int NBlocks) {
-    ensure();
-    std::unique_lock<std::mutex> L(M);
-    JobFn = Fn;
-    JobCtx = Ctx;
-    JobBlocks = NBlocks;
-    NextBlock.store(0, std::memory_order_relaxed);
-    DoneThreads = 0;
-    ++Epoch;
-    WorkCv.notify_all();
-    DoneCv.wait(L, [&] { return DoneThreads == TeamCount * TeamSize; });
-  }
-};
-
-static std::mutex LaunchMutex;
-
-static Pool &pool() {
-  static Pool P; // First launch spawns it; dlclose joins it.
-  return P;
+/// Called by the loader right after it loads the unit. Returns nonzero,
+/// and leaves the unit unbound, for a runtime of another ABI.
+extern "C" int ht_shim_bind(const ht_shim_runtime *Rt) {
+  if (!Rt || Rt->abi != HT_SHIM_ABI)
+    return 1;
+  ht_shim_rt = Rt;
+  return 0;
 }
 
 template <class Body>
-static void trampoline(const void *Ctx, ht_int Block) {
+static void ht_shim_block(const void *Ctx, ht_int Block, ht_int Rank,
+                          ht_int Size) {
+  ht_shim_rank = Rank;
+  ht_shim_size = Size;
   (*static_cast<const Body *>(Ctx))(Block);
 }
 
 template <class Body>
-static void launch(ht_int NBlocks, const Body &B) {
-  if (NBlocks <= 0)
-    return;
-  std::lock_guard<std::mutex> L(LaunchMutex);
-  pool().run(&trampoline<Body>, &B, NBlocks);
+static void ht_shim_launch(ht_int NBlocks, const Body &B) {
+  if (!ht_shim_rt) {
+    dprintf(2, "cuda_shim: launch on an unbound parallel unit (the loader "
+               "never called ht_shim_bind)\n");
+    __builtin_abort();
+  }
+#if defined(HT_SHIM_SINGLE_TEAM)
+  const ht_int SingleTeam = 1; // Staged unit: blocks stay serial.
+#else
+  const ht_int SingleTeam = 0;
+#endif
+  ht_shim_rt->launch(&ht_shim_block<Body>, &B, NBlocks, HT_SHIM_THREADS,
+                     SingleTeam);
 }
 
-} // namespace ht_shim
-
-static inline void __syncthreads(void) { ht_shim::CurTeam->barrier(); }
+static inline void __syncthreads(void) { ht_shim_rt->barrier(); }
 
 #define HT_LAUNCH_1D(kernel, nblocks, ...)                                   \
-  ht_shim::launch((nblocks), [&](ht_int ht_block) {                          \
+  ht_shim_launch((nblocks), [&](ht_int ht_block) {                           \
     kernel(ht_block, __VA_ARGS__);                                           \
   })
 
 #define HT_FOR_THREADS(tid, count)                                           \
-  for (ht_int tid = ht_shim::CurRank; tid < (count); tid += ht_shim::CurSize)
+  for (ht_int tid = ht_shim_rank; tid < (count); tid += ht_shim_size)
 
 /// Physical threads per block (the runtime team size; kernels use it to
 /// observe the pool geometry, e.g. in the shim-semantics tests).
-#define HT_THREADS (ht_shim::CurSize)
+#define HT_THREADS (ht_shim_size)
 
 #endif // HT_SHIM_THREADS
 
@@ -324,12 +218,11 @@ static inline void __syncthreads(void) { ht_shim::CurTeam->barrier(); }
 static inline float *ht_at(float *Base, ht_int Idx, ht_int Total,
                            const char *What) {
   if (Idx < 0 || Idx >= Total) {
-    fprintf(stderr,
+    dprintf(2,
             "cuda_shim: out-of-bounds access to %s: index %lld not in "
             "[0, %lld)\n",
             What, (long long)Idx, (long long)Total);
-    fflush(stderr);
-    abort();
+    __builtin_abort();
   }
   return Base + Idx;
 }
@@ -355,7 +248,8 @@ static inline void ht_copy_run(float *Dst, ht_int DstIdx, ht_int DstTotal,
     return;
   ht_check_run(Src, SrcIdx, N, SrcTotal, SrcName);
   ht_check_run(Dst, DstIdx, N, DstTotal, DstName);
-  memcpy(Dst + DstIdx, Src + SrcIdx, (size_t)N * sizeof(float));
+  __builtin_memcpy(Dst + DstIdx, Src + SrcIdx,
+                   (__SIZE_TYPE__)N * sizeof(float));
 }
 
 #define HT_COPY_RUN(dst, dstIdx, dstTotal, src, srcIdx, srcTotal, n)         \

@@ -12,7 +12,10 @@
 /// a no-op "block-serial barrier", HT_SHARED is the per-block __shared__
 /// arena the Sec. 4.2 staging windows live in, every buffer access --
 /// global and staged -- is bounds-checked, and the staging copies move
-/// one range-checked window row at a time). The unit exports one
+/// one range-checked window row at a time). The shim includes no system
+/// header; a parallel-shim unit runs its blocks on the worker teams of
+/// service/ShimRuntime, which the loader binds into it through the
+/// exported `ht_shim_bind`. The unit exports one
 /// `extern "C"` entry point,
 /// `<name>_run(float **fields)`, over the same rotating-buffer layout
 /// exec::GridStorage uses -- which is how the oracle's fourth mechanism
@@ -41,6 +44,15 @@ std::string emitHost(const CompiledHybrid &C,
 /// host unit includes (composed over the shared EmissionCore runtime
 /// helpers). The JIT runner writes this next to the unit before compiling.
 std::string hostShimSource();
+
+/// Version of the `ht_shim_runtime` function table a parallel-shim unit
+/// accepts in `ht_shim_bind` (service/ShimRuntime supplies the table).
+/// Bump it whenever the table's layout or a member's contract changes: a
+/// unit then rejects a runtime of the other version instead of calling
+/// through a mismatched table. A macro, so the shim text can spell it as
+/// part of a string literal.
+#define HEXTILE_HOST_SHIM_ABI 1
+constexpr long long HostShimAbi = HEXTILE_HOST_SHIM_ABI;
 
 /// Name of the emitted `extern "C"` entry point: "<program name>_run",
 /// with signature `void(float **fields)` (one rotating-buffer array per

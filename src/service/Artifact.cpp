@@ -2,6 +2,8 @@
 
 #include "service/Artifact.h"
 
+#include "service/ShimRuntime.h"
+
 #include <algorithm>
 #include <dlfcn.h>
 #include <filesystem>
@@ -75,6 +77,12 @@ CompiledArtifact::fromStore(const StoredUnit &U,
       if (Err)
         *Err = "stored unit " + U.SoPath + " failed to load: " +
                (D ? D : "unknown dlopen error");
+      return nullptr;
+    }
+    if (std::string BindErr = bindShimRuntime(A->StoreHandle);
+        !BindErr.empty()) {
+      if (Err)
+        *Err = "stored unit " + U.SoPath + " failed to load: " + BindErr;
       return nullptr;
     }
     A->Entry = reinterpret_cast<KernelEntryFn>(

@@ -52,9 +52,10 @@ public:
   static std::shared_ptr<const CompiledArtifact>
   fromSource(const CompileKey &Key, TargetKind Target, std::string Source);
 
-  /// Loads a stored unit back from disk (dlopen of U.SoPath for Host;
-  /// source read for Cuda). On any load or symbol failure returns null
-  /// with *Err set -- the caller quarantines the unit and recompiles.
+  /// Loads a stored unit back from disk (dlopen of U.SoPath, binding the
+  /// shim runtime into a parallel-shim unit, for Host; source read for
+  /// Cuda). On any load, bind or symbol failure returns null with *Err
+  /// set -- the caller quarantines the unit and recompiles.
   static std::shared_ptr<const CompiledArtifact>
   fromStore(const StoredUnit &U, const std::string &EntryName,
             std::string *Err);

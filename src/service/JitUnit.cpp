@@ -3,6 +3,7 @@
 #include "service/JitUnit.h"
 
 #include "codegen/HostEmitter.h"
+#include "service/ShimRuntime.h"
 
 #include <cassert>
 #include <cstdlib>
@@ -33,10 +34,11 @@ using namespace hextile::service;
 #endif
 
 // Same plumbing for ThreadSanitizer: under a TSan harness the JIT units
-// compile with -fsanitize=thread, so the *parallel* shim's worker teams,
-// block hand-off and __syncthreads barriers are raced under the same tool
-// that checks ThreadPoolBackend -- the emitted kernels' block-independence
-// claims become TSan-checkable instead of trusted.
+// compile with -fsanitize=thread, so the *parallel* shim's blocks, run on
+// the worker teams of service/ShimRuntime (instrumented with the rest of
+// the library) between __syncthreads barriers, are raced under the same
+// tool that checks ThreadPoolBackend -- the emitted kernels'
+// block-independence claims become TSan-checkable instead of trusted.
 #if defined(__SANITIZE_THREAD__)
 #define HEXTILE_JIT_TSAN 1
 #elif defined(__has_feature)
@@ -133,8 +135,9 @@ std::string JitUnit::build(const std::string &Source) {
     std::ofstream(Src) << Source;
   }
 
-  // -pthread is unconditional: serial units ignore it, parallel-shim
-  // units (HT_SHIM_THREADS > 0) need it for their worker teams.
+  // -pthread is unconditional and kept for a stable command line. No
+  // unit starts a thread: a parallel-shim unit (HT_SHIM_THREADS > 0)
+  // runs its blocks on service/ShimRuntime's teams, bound below.
   std::string Cmd = shellQuote(systemCompiler()) +
                     " -std=c++17 -O1 -fPIC -shared -pthread" +
                     (HEXTILE_JIT_ASAN ? " -fsanitize=address" : "") +
@@ -154,6 +157,13 @@ std::string JitUnit::build(const std::string &Source) {
     const char *Err = dlerror();
     return "emitted unit failed to load (artifacts kept in " + Dir +
            "): " + (Err ? Err : "unknown dlopen error");
+  }
+  if (std::string Err = bindShimRuntime(Handle); !Err.empty()) {
+    Keep = true;
+    dlclose(Handle);
+    Handle = nullptr;
+    return "emitted unit failed to load (artifacts kept in " + Dir +
+           "): " + Err;
   }
   SoPath = Lib.string();
   return "";

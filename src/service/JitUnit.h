@@ -52,9 +52,11 @@ public:
   static bool available() { return !systemCompiler().empty(); }
 
   /// Writes \p Source as kernel.cpp (with cuda_shim.h beside it),
-  /// compiles it into kernel.so and loads it. Returns an empty string on
-  /// success, else a diagnostic including the compiler output. Asserts
-  /// that available() held and that no unit was built before.
+  /// compiles it into kernel.so, loads it and binds the shim runtime into
+  /// a parallel-shim unit (service/ShimRuntime). Returns an empty string
+  /// on success, else a diagnostic including the compiler output; a unit
+  /// that rejects the runtime is a load failure, with its artifacts kept.
+  /// Asserts that available() held and that no unit was built before.
   std::string build(const std::string &Source);
 
   /// Looks up \p Name in the loaded unit (null when absent or not built).

@@ -15,7 +15,12 @@
 //  * bounds traps: HT_AT aborts with the correct buffer name when the
 //    out-of-bounds access happens on a worker thread (global buffers and
 //    HT_SHARED staging arenas both), and so does an HT_COPY_RUN run that
-//    crosses either end of either buffer.
+//    crosses either end of either buffer;
+//  * the process-wide runtime (service/ShimRuntime): two units with
+//    different baked-in team sizes each get their own per launch, a
+//    forked child launches on a fresh pool instead of waiting on its
+//    parent's workers, a unit loaded without binding traps at its first
+//    launch, and a unit that rejects the runtime's ABI fails to load.
 //
 // Machines without a system compiler skip (visibly, not silently).
 //
@@ -23,24 +28,46 @@
 
 #include "harness/HostKernelRunner.h"
 
+#include <chrono>
 #include <cstdlib>
+#include <dlfcn.h>
+#include <filesystem>
 #include <gtest/gtest.h>
+#include <signal.h>
 #include <string>
+#include <sys/wait.h>
+#include <thread>
+#include <unistd.h>
 
 using namespace hextile;
 using harness::JitUnit;
 
 namespace {
 
-/// Scoped environment override for the shim pool-geometry variables.
+#if defined(__SANITIZE_THREAD__)
+#define HEXTILE_UNDER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define HEXTILE_UNDER_TSAN 1
+#endif
+#endif
+#ifndef HEXTILE_UNDER_TSAN
+#define HEXTILE_UNDER_TSAN 0
+#endif
+
+/// Scoped environment override for the shim pool-geometry variables; a
+/// null \p Value unsets the variable for the scope.
 class ScopedEnv {
 public:
-  ScopedEnv(const char *Name, const std::string &Value) : Name(Name) {
+  ScopedEnv(const char *Name, const char *Value) : Name(Name) {
     if (const char *Old = getenv(Name)) {
       HadOld = true;
       OldValue = Old;
     }
-    setenv(Name, Value.c_str(), 1);
+    if (Value)
+      setenv(Name, Value, 1);
+    else
+      unsetenv(Name);
   }
   ~ScopedEnv() {
     if (HadOld)
@@ -159,6 +186,35 @@ extern "C" void run_copy_run(float *g_buf, ht_int gIdx, ht_int sIdx,
 }
 )cpp";
 
+/// One launch of a unit whose baked-in team size is \p Threads; its
+/// size_run returns the HT_THREADS the launched block saw.
+std::string teamSizeSource(int Threads) {
+  return "#define HT_SHIM_THREADS " + std::to_string(Threads) + R"cpp(
+#include "cuda_shim.h"
+
+static ht_int Seen;
+
+__global__ void size_probe(ht_int ht_block, ht_int unused) {
+  (void)ht_block;
+  (void)unused;
+  HT_FOR_THREADS(t0, 1)
+    Seen = HT_THREADS;
+}
+
+extern "C" ht_int size_run(void) {
+  Seen = -1;
+  HT_LAUNCH_1D(size_probe, 1, 0);
+  return Seen;
+}
+)cpp";
+}
+
+/// A unit built for another runtime ABI: its ht_shim_bind refuses every
+/// table, as a unit of a later shim version refuses this build's runtime.
+constexpr const char *RejectingSource = R"cpp(
+extern "C" int ht_shim_bind(const void *) { return 1; }
+)cpp";
+
 using ProbeFn = long long (*)(long long);
 
 } // namespace
@@ -258,4 +314,101 @@ TEST(ShimRuntimeDeathTest, RunCopyTrapNamesBufferUnderParallelDispatch) {
                "out-of-bounds access to ht_s_A: index 8 not in \\[0, 8\\)");
   EXPECT_DEATH(Run(Buf, 0, -1, 3),
                "out-of-bounds access to ht_s_A: index -1 not in \\[0, 8\\)");
+}
+
+TEST(ShimRuntimeTest, TeamSizeIsChosenPerLaunchNotByTheFirstUnit) {
+  if (!JitUnit::available())
+    GTEST_SKIP() << "no system C++ compiler; shim runtime not exercised";
+  // One pool serves every unit of the process; each launch must still
+  // shape it from the launching unit's baked-in size.
+  ScopedEnv Threads("HT_SHIM_THREADS", nullptr);
+  ScopedEnv Teams("HT_SHIM_TEAMS", nullptr);
+  JitUnit Two, Four;
+  ASSERT_EQ(Two.build(teamSizeSource(2)), "");
+  ASSERT_EQ(Four.build(teamSizeSource(4)), "");
+  using SizeFn = long long (*)();
+  auto RunTwo = reinterpret_cast<SizeFn>(Two.symbol("size_run"));
+  auto RunFour = reinterpret_cast<SizeFn>(Four.symbol("size_run"));
+  ASSERT_NE(RunTwo, nullptr);
+  ASSERT_NE(RunFour, nullptr);
+  for (int Round = 0; Round < 3; ++Round) {
+    EXPECT_EQ(RunTwo(), 2) << "round " << Round;
+    EXPECT_EQ(RunFour(), 4) << "round " << Round;
+  }
+}
+
+TEST(ShimRuntimeTest, ForkedChildLaunchesOnAFreshPool) {
+  if (!JitUnit::available())
+    GTEST_SKIP() << "no system C++ compiler; shim runtime not exercised";
+  if (HEXTILE_UNDER_TSAN)
+    GTEST_SKIP() << "fork-based test; TSan runtime does not support "
+                    "fork-and-continue";
+  JitUnit Unit;
+  ASSERT_EQ(Unit.build(ProbeSource), "");
+  auto Probe = reinterpret_cast<ProbeFn>(Unit.symbol("probe_run"));
+  ASSERT_NE(Probe, nullptr);
+  ScopedEnv Threads("HT_SHIM_THREADS", nullptr);
+  // The parent's launch spawns the process's workers; none of them exists
+  // in the child, which must not wait for them.
+  ASSERT_EQ(Probe(4), 2);
+
+  pid_t Pid = fork();
+  ASSERT_GE(Pid, 0);
+  if (Pid == 0)
+    _exit(Probe(4) == 2 && Probe(8) == 2 ? 0 : 1);
+
+  int Status = 0;
+  auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  pid_t Done = 0;
+  while ((Done = waitpid(Pid, &Status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  if (Done == 0) {
+    kill(Pid, SIGKILL);
+    waitpid(Pid, &Status, 0);
+    FAIL() << "forked child still launching after 30 s: it waited on its "
+              "parent's workers";
+  }
+  ASSERT_EQ(Done, Pid);
+  ASSERT_TRUE(WIFEXITED(Status));
+  EXPECT_EQ(WEXITSTATUS(Status), 0);
+  // The parent's own pool is untouched by the child's.
+  EXPECT_EQ(Probe(6), 2);
+}
+
+TEST(ShimRuntimeDeathTest, UnboundUnitTrapsAtFirstLaunch) {
+  if (!JitUnit::available())
+    GTEST_SKIP() << "no system C++ compiler; shim runtime not exercised";
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  JitUnit Unit;
+  ASSERT_EQ(Unit.build(ProbeSource), "");
+  // A second copy under another path loads as a separate, never-bound
+  // instance of the unit.
+  std::filesystem::path Copy =
+      std::filesystem::path(Unit.workDir()) / "unbound.so";
+  std::filesystem::copy_file(Unit.sharedObjectPath(), Copy);
+  void *Handle = dlopen(Copy.c_str(), RTLD_NOW | RTLD_LOCAL);
+  ASSERT_NE(Handle, nullptr) << dlerror();
+  auto Probe = reinterpret_cast<ProbeFn>(dlsym(Handle, "probe_run"));
+  ASSERT_NE(Probe, nullptr);
+  EXPECT_DEATH(Probe(4), "cuda_shim: launch on an unbound parallel unit");
+  dlclose(Handle);
+}
+
+TEST(ShimRuntimeTest, UnitRejectingTheRuntimeAbiFailsToLoad) {
+  if (!JitUnit::available())
+    GTEST_SKIP() << "no system C++ compiler; shim runtime not exercised";
+  JitUnit Unit;
+  std::string Err = Unit.build(RejectingSource);
+  EXPECT_NE(Err.find("failed to load"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("ht_shim_bind"), std::string::npos) << Err;
+  EXPECT_EQ(Unit.symbol("ht_shim_bind"), nullptr);
+  // A load failure keeps the artifacts for an offline repro.
+  std::filesystem::path Dir = Unit.workDir();
+  EXPECT_TRUE(std::filesystem::exists(Dir / "kernel.cpp"));
+  EXPECT_TRUE(std::filesystem::exists(Dir / "kernel.so"));
+  Unit.reset();
+  EXPECT_TRUE(std::filesystem::exists(Dir / "kernel.so"));
+  std::filesystem::remove_all(Dir);
 }

@@ -7,8 +7,9 @@
 // pinned failure policy (every deduped waiter sees the failure, nothing
 // is negatively cached, the scratch directory survives for repro); the
 // scratch-dir hygiene contract on success; disk warm starts after a
-// simulated restart; quarantine + recompile of corrupted stored units;
-// and a two-process same-store race. Host-target tests skip cleanly when
+// simulated restart; quarantine + recompile of corrupted stored units and
+// of stored units that reject the shim runtime's ABI; and a two-process
+// same-store race. Host-target tests skip cleanly when
 // the machine has no system compiler.
 //
 //===----------------------------------------------------------------------===//
@@ -596,6 +597,55 @@ TEST(CompileServiceTest, CorruptedStoredUnitIsQuarantinedAndRecompiled) {
   EXPECT_FALSE(fs::is_empty(fs::path(StoreDir) / "quarantine"));
   EXPECT_EQ(harness::runEntryDifferential(R.Program, Res.Artifact->entry(),
                                           exec::defaultInit, "requar"),
+            "");
+  fs::remove_all(StoreDir);
+}
+
+TEST(CompileServiceTest, StoredUnitRejectingTheShimRuntimeIsQuarantined) {
+  if (!JitUnit::available())
+    GTEST_SKIP() << "no system C++ compiler; service compiles skip";
+
+  std::string StoreDir = freshDir("abi");
+  CompileRequest R = makeRequest(gallery()[2], 'd');
+  R.Config.ShimThreads = 2;
+  CompileKey Key = makeCompileKey(R);
+  {
+    CompileServiceOptions Opts;
+    Opts.StoreDir = StoreDir;
+    CompileService First(Opts);
+    ASSERT_TRUE(First.compile(R).ok());
+  }
+  // Between restarts the stored parallel unit is replaced by one built for
+  // another runtime ABI: it loads, but its ht_shim_bind refuses this
+  // build's runtime. The failed build keeps its kernel.so.
+  JitUnit Rejecting;
+  std::string BuildErr =
+      Rejecting.build("extern \"C\" int ht_shim_bind(const void *) "
+                      "{ return 1; }\n");
+  ASSERT_NE(BuildErr.find("ht_shim_bind"), std::string::npos) << BuildErr;
+  {
+    ArtifactStore Store(StoreDir);
+    std::optional<StoredUnit> U = Store.lookup(Key, TargetKind::Host);
+    ASSERT_TRUE(U.has_value());
+    fs::remove(U->SoPath);
+    fs::copy_file(fs::path(Rejecting.workDir()) / "kernel.so", U->SoPath);
+  }
+  fs::remove_all(Rejecting.workDir());
+
+  CompileServiceOptions Opts;
+  Opts.StoreDir = StoreDir;
+  CompileService Svc(Opts);
+  CompileResult Res = Svc.compile(R);
+  ASSERT_TRUE(Res.ok()) << Res.Error;
+  // A rejected bind is a load failure: the unit went to quarantine/ and a
+  // fresh compile served the key.
+  EXPECT_EQ(Res.Stats.How, RequestOutcome::Compiled);
+  ServiceCounters C = Svc.counters();
+  EXPECT_EQ(C.Quarantined, 1u);
+  EXPECT_EQ(C.Compiles, 1u);
+  EXPECT_FALSE(fs::is_empty(fs::path(StoreDir) / "quarantine"));
+  EXPECT_EQ(harness::runEntryDifferential(R.Program, Res.Artifact->entry(),
+                                          exec::defaultInit, "rebind"),
             "");
   fs::remove_all(StoreDir);
 }
