@@ -7,6 +7,14 @@ using namespace hextile::codegen;
 
 namespace {
 
+/// Opens a blockDim-stride loop binding \p Tid over [0, \p Count): threads
+/// of the block cover any count at any launch width.
+void openThreadLoop(Source &Out, const std::string &Tid,
+                    const std::string &Count) {
+  Out.open("for (ht_int " + Tid + " = (ht_int)threadIdx.x; " + Tid + " < " +
+           Count + "; " + Tid + " += (ht_int)blockDim.x)");
+}
+
 /// The CUDA syntax; \p Threads is the launch width of every kernel.
 EmitTargetHooks cudaHooks(int64_t Threads) {
   EmitTargetHooks H;
@@ -24,36 +32,21 @@ EmitTargetHooks cudaHooks(int64_t Threads) {
     return Name + "<<<(unsigned)(" + NumBlocks + "), " +
            std::to_string(Threads) + ">>>(" + Args + ");";
   };
-  // Threads of the block cover each local time row's points with a
-  // blockDim-stride loop, so any launch width is correct; the barrier
-  // after every row keeps cross-row dependences inside the tile ordered.
-  H.openThreadLoop = [](Source &Out, const std::string &Tid,
-                        const std::string &Count) {
-    Out.open("for (ht_int " + Tid + " = (ht_int)threadIdx.x; " + Tid +
-             " < " + Count + "; " + Tid + " += (ht_int)blockDim.x)");
-  };
-  H.closeThreadLoop = [](Source &Out) { Out.close(); };
   H.barrier = [](Source &Out) { Out.line("__syncthreads();"); };
-  H.access = [](const EmissionPlan &Plan, unsigned F,
-                const std::string &Idx) {
-    return Plan.fieldArg(F) + "[" + Idx + "]";
-  };
   H.declareShared = [](Source &Out, const std::string &Name,
                        int64_t Count) {
     Out.line("__shared__ float " + Name + "[" + std::to_string(Count) +
              "];");
   };
-  H.stageAccess = [](const std::string &Name, const std::string &Idx,
-                     int64_t) { return Name + "[" + Idx + "]"; };
   // One thread per element: consecutive threads touch consecutive
   // addresses of a window row, so each warp's accesses coalesce.
-  H.copyWindow = [H](Source &Out, const EmissionPlan &Plan,
-                     const WindowCopy &Copy) {
+  H.copyWindow = [](Source &Out, const EmissionPlan &Plan,
+                    const WindowCopy &Copy) {
     int64_t Positions = 1;
     for (int64_t N : Copy.Count)
       Positions *= N;
     for (unsigned F : Copy.Fields) {
-      H.openThreadLoop(
+      openThreadLoop(
           Out, Copy.Tid,
           std::to_string(static_cast<int64_t>(Plan.Depth[F]) * Positions));
       Out.line("ht_int ht_r = " + Copy.Tid + ";");
@@ -61,14 +54,29 @@ EmitTargetHooks cudaHooks(int64_t Threads) {
         for (const std::string &L : Copy.Bind[Dim])
           Out.line(L);
       Out.open("if (" + Copy.Guard + ")");
-      std::string Staged = H.stageAccess(Plan.stageArg(F), Copy.StageIdx,
-                                         Plan.stageTotalElems(F));
-      std::string Global = H.access(Plan, F, Copy.GlobalIdx);
+      std::string Staged = Plan.stageArg(F) + "[" + Copy.StageIdx + "]";
+      std::string Global = Plan.fieldArg(F) + "[" + Copy.GlobalIdx + "]";
       Out.line(Copy.ToStaging ? Staged + " = " + Global + ";"
                               : Global + " = " + Staged + ";");
       Out.close();
-      H.closeThreadLoop(Out);
+      Out.close();
     }
+  };
+  // One thread per point, the paper's mapping; the barrier after every
+  // region keeps cross-row dependences inside the tile ordered.
+  H.sweep = [](Source &Out, const EmissionPlan &Plan,
+               const ComputeSweep &Sweep) {
+    openThreadLoop(Out, "ht_tid", Sweep.PointCount);
+    for (const std::string &L : Sweep.PointBind)
+      Out.line(L);
+    Out.open("if (" + Sweep.Guard + ")");
+    emitSweepDispatch(Out, Plan, Sweep, [&](const SweptStmt &St) {
+      emitSweptUpdate(Out, Plan, St, [&](const SweptAccess &A) {
+        return St.Groups[A.Group].Buffer + "[" + A.PointIdx + "]";
+      });
+    });
+    Out.close();
+    Out.close();
   };
   return H;
 }

@@ -354,148 +354,207 @@ std::string hornerIndex(const std::vector<std::string> &Coords,
   return L;
 }
 
-/// Row-major linear offset of (s0 + off0, s1 + off1, ...) as a Horner
-/// chain over the (compile-time) grid extents.
-std::string linearOffsetExpr(const EmissionPlan &Plan,
+/// "s<Dim> + (<Off>)", or "s<Dim>" when \p Off is 0.
+std::string offsetCoord(unsigned Dim, int64_t Off) {
+  return Off == 0 ? coordVar(Dim) : coordVar(Dim) + " + (" + i64(Off) + ")";
+}
+
+/// \p Linear placed in the rotating slot of field \p F at time step
+/// expression \p StepExpr, whose copies hold \p CopyElems elements each.
+std::string inSlot(const EmissionPlan &Plan, unsigned F,
+                   const std::string &StepExpr, int64_t CopyElems,
+                   const std::string &Linear) {
+  if (Plan.Depth[F] == 1)
+    return Linear;
+  std::string Slot =
+      "ht_emod(" + StepExpr + ", " + i64(Plan.Depth[F]) + ")";
+  return Slot + " * " + i64(CopyElems) + " + " + Linear;
+}
+
+/// Flat element index of field \p F at time step expression \p StepExpr
+/// and (s0 + off0, s1 + off1, ...): rotating slot times copy size plus the
+/// row-major offset, a Horner chain over the (compile-time) grid extents.
+std::string elementIndexExpr(const EmissionPlan &Plan, unsigned F,
+                             const std::string &StepExpr,
                              std::span<const int64_t> Offsets) {
   std::vector<std::string> Coords;
   for (unsigned Dim = 0; Dim < Plan.Rank; ++Dim) {
     int64_t Off = Dim < Offsets.size() ? Offsets[Dim] : 0;
     Coords.push_back(Off == 0 ? coordVar(Dim)
-                              : "(" + coordVar(Dim) + " + (" + i64(Off) +
-                                    "))");
+                              : "(" + offsetCoord(Dim, Off) + ")");
   }
-  return hornerIndex(Coords, Plan.Sizes);
+  return inSlot(Plan, F, StepExpr, Plan.PointsPerCopy,
+                hornerIndex(Coords, Plan.Sizes));
 }
 
-/// Flat element index of field \p F at time step expression \p StepExpr:
-/// rotating slot times copy size plus the linear offset.
-std::string elementIndexExpr(const EmissionPlan &Plan, unsigned F,
-                             const std::string &StepExpr,
-                             std::span<const int64_t> Offsets) {
-  std::string Linear = linearOffsetExpr(Plan, Offsets);
-  if (Plan.Depth[F] == 1)
-    return Linear;
-  std::string Slot =
-      "ht_emod(" + StepExpr + ", " + i64(Plan.Depth[F]) + ")";
-  return Slot + " * " + i64(Plan.PointsPerCopy) + " + " + Linear;
-}
-
-/// Flat *staging-buffer* element index of field \p F at (s0 + off0, ...):
-/// rotating slot times window size plus the in-window offset. Window
-/// placement subtracts the per-tile base ht_wb<d>; static placement
-/// (Sec. 4.2.2) maps through the fixed s mod Ext[d] scheme instead.
-std::string stagedIndexExpr(const EmissionPlan &Plan, unsigned F,
-                            const std::string &StepExpr,
-                            std::span<const int64_t> Offsets) {
+/// The in-window coordinates of (s0 + off0, ...): window placement
+/// subtracts the per-tile base ht_wb<d>; static placement (Sec. 4.2.2)
+/// maps through the fixed s mod Ext[d] scheme instead.
+std::vector<std::string> stagedCoords(const EmissionPlan &Plan,
+                                      std::span<const int64_t> Offsets) {
   const StagingPlan &St = Plan.Staging;
   std::vector<std::string> Coords;
   for (unsigned Dim = 0; Dim < Plan.Rank; ++Dim) {
-    int64_t Off = Dim < Offsets.size() ? Offsets[Dim] : 0;
-    std::string G = coordVar(Dim);
-    if (Off != 0)
-      G = G + " + (" + i64(Off) + ")";
+    std::string G =
+        offsetCoord(Dim, Dim < Offsets.size() ? Offsets[Dim] : 0);
     Coords.push_back(St.StaticPlacement
                          ? "ht_emod(" + G + ", " + i64(St.Ext[Dim]) + ")"
                          : "(" + G + " - ht_wb" + std::to_string(Dim) + ")");
   }
-  std::string L = hornerIndex(Coords, St.Ext);
-  if (Plan.Depth[F] == 1)
-    return L;
-  std::string Slot =
-      "ht_emod(" + StepExpr + ", " + i64(Plan.Depth[F]) + ")";
-  return Slot + " * " + i64(St.WindowPoints) + " + " + L;
+  return Coords;
+}
+
+/// Flat *staging-buffer* element index of field \p F at (s0 + off0, ...):
+/// rotating slot times window size plus the in-window offset.
+std::string stagedIndexExpr(const EmissionPlan &Plan, unsigned F,
+                            const std::string &StepExpr,
+                            std::span<const int64_t> Offsets) {
+  return inSlot(Plan, F, StepExpr, Plan.Staging.WindowPoints,
+                hornerIndex(stagedCoords(Plan, Offsets), Plan.Staging.Ext));
 }
 
 /// What one pass of the guarded statement dispatch does: compute the
 /// update, or (separate copy-out) move the staged result back to global.
 enum class StmtAction { Compute, CopyOut };
 
-/// Emits the guarded body of one statement instance at (t, s0, ..).
+} // namespace
+
+std::vector<SweptStmt> codegen::sweptStmts(const EmissionPlan &Plan,
+                                           bool CopyOut) {
+  const StagingPlan &Staging = Plan.Staging;
+  unsigned In = Plan.Rank - 1;
+  std::vector<SweptStmt> Stmts;
+  for (const ir::StencilStmt &St : Plan.Program->stmts()) {
+    SweptStmt S;
+    S.Name = St.Name;
+    // Per group: its rotating slot and its first access's offsets, from
+    // which the other accesses' displacements are taken.
+    std::vector<int64_t> Slots;
+    std::vector<std::vector<int64_t>> First;
+    auto Add = [&](unsigned F, bool Staged, int64_t TimeOffset,
+                   std::span<const int64_t> Offsets) {
+      std::vector<int64_t> Off(Offsets.begin(), Offsets.end());
+      Off.resize(Plan.Rank, 0);
+      std::string Step = TimeOffset == 0
+                             ? "ht_step"
+                             : "ht_step + (" + i64(TimeOffset) + ")";
+      SweptAccess A;
+      A.PointIdx = Staged ? stagedIndexExpr(Plan, F, Step, Off)
+                          : elementIndexExpr(Plan, F, Step, Off);
+      AccessGroup G{Staged ? Plan.stageArg(F) : Plan.fieldArg(F),
+                    Staged ? Plan.stageTotalElems(F)
+                           : Plan.fieldTotalElems(F),
+                    A.PointIdx};
+      int64_t Slot = euclidMod(TimeOffset, Plan.Depth[F]);
+      if (Staged && Staging.StaticPlacement) {
+        // Cells wrap mod Ext within the window row: no fixed displacement,
+        // so the access checks its whole row on its own.
+        std::vector<std::string> Coords = stagedCoords(Plan, Off);
+        Coords[In] = "0";
+        G.Base = inSlot(Plan, F, Step, Staging.WindowPoints,
+                        hornerIndex(Coords, Staging.Ext));
+        G.Wrap = Staging.Ext[In];
+        A.Group = S.Groups.size();
+        A.WrapCoord = offsetCoord(In, Off[In]);
+      } else {
+        for (A.Group = 0; A.Group < S.Groups.size(); ++A.Group)
+          if (!S.Groups[A.Group].Wrap &&
+              S.Groups[A.Group].Buffer == G.Buffer && Slots[A.Group] == Slot)
+            break;
+      }
+      if (A.Group == S.Groups.size()) {
+        S.Groups.push_back(G);
+        Slots.push_back(Slot);
+        First.push_back(Off);
+        return A;
+      }
+      const std::vector<int64_t> &Ext = Staged ? Staging.Ext : Plan.Sizes;
+      for (unsigned Dim = 0; Dim < Plan.Rank; ++Dim)
+        A.Disp = A.Disp * Ext[Dim] + Off[Dim] - First[A.Group][Dim];
+      AccessGroup &Grp = S.Groups[A.Group];
+      Grp.Lo = std::min(Grp.Lo, A.Disp);
+      Grp.Hi = std::max(Grp.Hi, A.Disp);
+      return A;
+    };
+    std::vector<int64_t> NoOffsets(Plan.Rank, 0);
+    if (CopyOut) {
+      S.Reads.push_back(Add(St.WriteField, true, 0, NoOffsets));
+      S.Writes.push_back(Add(St.WriteField, false, 0, NoOffsets));
+      Stmts.push_back(std::move(S));
+      continue;
+    }
+    std::vector<std::string> ReadNames;
+    for (unsigned R = 0; R < St.Reads.size(); ++R) {
+      const ir::ReadAccess &Rd = St.Reads[R];
+      S.Reads.push_back(
+          Add(Rd.Field, Staging.Enabled, Rd.TimeOffset, Rd.Offsets));
+      ReadNames.push_back("ht_v" + std::to_string(R));
+    }
+    S.RHS = renderExprExact(St.RHS, ReadNames);
+    if (Staging.Enabled)
+      S.Writes.push_back(Add(St.WriteField, true, 0, NoOffsets));
+    if (!Staging.Enabled || Staging.Interleaved)
+      S.Writes.push_back(Add(St.WriteField, false, 0, NoOffsets));
+    Stmts.push_back(std::move(S));
+  }
+  return Stmts;
+}
+
+void codegen::emitSweepDispatch(
+    Source &Out, const EmissionPlan &Plan, const ComputeSweep &Sweep,
+    const std::function<void(const SweptStmt &)> &Update) {
+  if (Plan.NumStmts == 1) {
+    Out.line("const ht_int ht_step = t;");
+    Out.line("// " + Sweep.Stmts[0].Name);
+    Update(Sweep.Stmts[0]);
+    return;
+  }
+  Out.line("const ht_int ht_step = t / " + i64(Plan.NumStmts) + ";");
+  Out.open("switch ((int)(t % " + i64(Plan.NumStmts) + "))");
+  for (unsigned I = 0; I < Plan.NumStmts; ++I) {
+    Out.open("case " + std::to_string(I) + ": { // " + Sweep.Stmts[I].Name);
+    Update(Sweep.Stmts[I]);
+    Out.close(" break;");
+  }
+  Out.close();
+}
+
 /// Compute: the reads, the exact RHS and the write. Without staging both
 /// sides address the global rotating buffers; with staging the reads and
 /// the write go to the tile-local window, plus a same-expression global
-/// store when the copy-out is interleaved (Sec. 4.2.1). CopyOut: the
-/// separate copy-out move global[write cell] = staged[write cell].
-void emitStmtUpdate(Source &Out, const EmissionPlan &Plan, unsigned StmtIdx,
-                    const EmitTargetHooks &Hooks, StmtAction Action) {
-  const ir::StencilProgram &P = *Plan.Program;
-  const ir::StencilStmt &St = P.stmts()[StmtIdx];
-  const StagingPlan &Staging = Plan.Staging;
-  std::vector<int64_t> NoOffsets(Plan.Rank, 0);
-  std::string GlobalWrite =
-      Hooks.access(Plan, St.WriteField,
-                   elementIndexExpr(Plan, St.WriteField, "ht_step",
-                                    NoOffsets));
-  std::string StagedWrite =
-      Staging.Enabled
-          ? Hooks.stageAccess(Plan.stageArg(St.WriteField),
-                              stagedIndexExpr(Plan, St.WriteField,
-                                              "ht_step", NoOffsets),
-                              Plan.stageTotalElems(St.WriteField))
-          : std::string();
-  if (Action == StmtAction::CopyOut) {
-    Out.line(GlobalWrite + " = " + StagedWrite + ";");
+/// store when the copy-out is interleaved (Sec. 4.2.1). Copy-out: the move
+/// global[write cell] = staged[write cell].
+void codegen::emitSweptUpdate(
+    Source &Out, const EmissionPlan &Plan, const SweptStmt &St,
+    const std::function<std::string(const SweptAccess &)> &Cell) {
+  if (St.RHS.empty()) {
+    Out.line(Cell(St.Writes[0]) + " = " + Cell(St.Reads[0]) + ";");
     return;
   }
-  std::vector<std::string> ReadNames;
-  for (unsigned R = 0; R < St.Reads.size(); ++R) {
-    const ir::ReadAccess &A = St.Reads[R];
-    std::string Step = A.TimeOffset == 0
-                           ? "ht_step"
-                           : "ht_step + (" + i64(A.TimeOffset) + ")";
-    std::string Name = "ht_v" + std::to_string(R);
-    std::string Src =
-        Staging.Enabled
-            ? Hooks.stageAccess(Plan.stageArg(A.Field),
-                                stagedIndexExpr(Plan, A.Field, Step,
-                                                A.Offsets),
-                                Plan.stageTotalElems(A.Field))
-            : Hooks.access(Plan, A.Field,
-                           elementIndexExpr(Plan, A.Field, Step,
-                                            A.Offsets));
-    Out.line("const float " + Name + " = " + Src + ";");
-    ReadNames.push_back(Name);
-  }
-  std::string RHS = renderExprExact(St.RHS, ReadNames);
-  if (!Staging.Enabled) {
-    Out.line(GlobalWrite + " = " + RHS + ";");
+  for (size_t R = 0; R < St.Reads.size(); ++R)
+    Out.line("const float ht_v" + std::to_string(R) + " = " +
+             Cell(St.Reads[R]) + ";");
+  if (!Plan.Staging.Enabled) {
+    Out.line(Cell(St.Writes[0]) + " = " + St.RHS + ";");
     return;
   }
-  Out.line("const float ht_out = " + RHS + ";");
-  Out.line(StagedWrite + " = ht_out;");
-  if (Staging.Interleaved)
-    Out.line(GlobalWrite + " = ht_out;");
+  Out.line("const float ht_out = " + St.RHS + ";");
+  for (const SweptAccess &W : St.Writes)
+    Out.line(Cell(W) + " = ht_out;");
 }
 
-/// Emits the in-domain guard over every spatial dimension and, inside it,
-/// the statement dispatch on the canonical time t.
-void emitGuardedDispatch(Source &Out, const EmissionPlan &Plan,
-                         const EmitTargetHooks &Hooks, StmtAction Action) {
+namespace {
+
+/// The domain test of s0..s(NumDims-1).
+std::string domainGuard(const EmissionPlan &Plan, unsigned NumDims) {
   std::string Guard;
-  for (unsigned Dim = 0; Dim < Plan.Rank; ++Dim) {
+  for (unsigned Dim = 0; Dim < NumDims; ++Dim) {
     if (Dim)
       Guard += " && ";
     Guard += coordVar(Dim) + " >= " + i64(Plan.Lo[Dim]) + " && " +
              coordVar(Dim) + " < " + i64(Plan.Hi[Dim]);
   }
-  Out.open("if (" + Guard + ")");
-  if (Plan.NumStmts == 1) {
-    Out.line("const ht_int ht_step = t;");
-    Out.line("// " + Plan.Program->stmts()[0].Name);
-    emitStmtUpdate(Out, Plan, 0, Hooks, Action);
-  } else {
-    Out.line("const ht_int ht_step = t / " + i64(Plan.NumStmts) + ";");
-    Out.open("switch ((int)(t % " + i64(Plan.NumStmts) + "))");
-    for (unsigned I = 0; I < Plan.NumStmts; ++I) {
-      Out.open("case " + std::to_string(I) + ": { // " +
-               Plan.Program->stmts()[I].Name);
-      emitStmtUpdate(Out, Plan, I, Hooks, Action);
-      Out.close(" break;");
-    }
-    Out.close();
-  }
-  Out.close();
+  return Guard;
 }
 
 /// Emits the per-tile staging-window base variables ht_wb<d>: the lowest
@@ -621,29 +680,55 @@ void emitStageLoads(Source &Out, const EmissionPlan &Plan,
   Hooks.barrier(Out);
 }
 
-/// Decomposes the linear thread id into the local coordinates of the
-/// classically tiled dimensions [FirstDim, Rank), innermost fastest, and
-/// binds each dimension's global coordinate. The leftover quotient is
-/// returned for the caller to consume (the hexagonal b row for Hex/Hybrid,
-/// the dim-0 local coordinate for Classical).
-std::string emitLocalDecompose(Source &Out, const EmissionPlan &Plan,
-                               unsigned FirstDim, const std::string &TidVar,
-                               const std::string &UVar) {
-  unsigned Base = Plan.innerBaseDim();
-  if (FirstDim >= Plan.Rank)
-    return TidVar;
-  Out.line("ht_int ht_r = " + TidVar + ";");
-  for (unsigned Dim = Plan.Rank; Dim-- > FirstDim;) {
-    const InnerTilePlan &I = Plan.Inner[Dim - Base];
-    Out.line("const ht_int ht_l" + std::to_string(Dim) + " = ht_r % " +
-             i64(I.Width) + "; ht_r /= " + i64(I.Width) + ";");
-    std::string Coord = "S" + std::to_string(Dim) + " * " + i64(I.Width) +
-                        " + ht_l" + std::to_string(Dim);
-    if (I.SkewNum != 0)
-      Coord += " - " + skewTable(Dim) + "[" + UVar + "]";
-    Out.line("const ht_int " + coordVar(Dim) + " = " + Coord + ";");
+/// The skew of inner dimension \p Dim at local time \p UVar: "" or
+/// " - ht_skew<Dim>[UVar]".
+std::string skewTerm(const EmissionPlan &Plan, unsigned Dim,
+                     const std::string &UVar) {
+  if (Plan.Inner[Dim - Plan.innerBaseDim()].SkewNum == 0)
+    return "";
+  return " - " + skewTable(Dim) + "[" + UVar + "]";
+}
+
+/// Dimension 0 of a barrier region: position X of its Count positions sits
+/// at s0 = Origin + X + Skew (Skew is "" or a skewTerm). An empty Count is
+/// the constant Width.
+struct RegionDim0 {
+  std::string Origin, Skew, Count;
+  int64_t Width = 0;
+
+  /// The position count times \p Factor, folded when constant.
+  std::string times(int64_t Factor) const {
+    if (Count.empty())
+      return i64(Width * Factor);
+    return Factor == 1 ? Count : Count + " * " + i64(Factor);
   }
-  return "ht_r";
+};
+
+/// The lines binding s1..s(EndDim-1) and s0 from the linear id \p Tid:
+/// the local coordinates of the classically tiled dimensions, innermost
+/// fastest, then s0 from the leftover quotient, a position along \p D0.
+std::vector<std::string> bindCoords(const EmissionPlan &Plan, unsigned EndDim,
+                                    const std::string &Tid,
+                                    const RegionDim0 &D0,
+                                    const std::string &UVar) {
+  unsigned Base = Plan.innerBaseDim();
+  std::vector<std::string> Lines;
+  std::string Q = Tid;
+  if (EndDim > 1) {
+    Lines.push_back("ht_int ht_r = " + Tid + ";");
+    for (unsigned Dim = EndDim; Dim-- > 1;) {
+      std::string D = std::to_string(Dim);
+      std::string W = i64(Plan.Inner[Dim - Base].Width);
+      Lines.push_back("const ht_int ht_l" + D + " = ht_r % " + W +
+                      "; ht_r /= " + W + ";");
+      Lines.push_back("const ht_int " + coordVar(Dim) + " = S" + D + " * " +
+                      W + " + ht_l" + D + skewTerm(Plan, Dim, UVar) + ";");
+    }
+    Q = "ht_r";
+  }
+  Lines.push_back("const ht_int s0 = " + D0.Origin + " + " + Q + D0.Skew +
+                  ";");
+  return Lines;
 }
 
 /// Emits the sequential tile loops over the classically tiled dimensions
@@ -666,15 +751,49 @@ unsigned emitTileLoops(Source &Out, const EmissionPlan &Plan) {
   return Opened;
 }
 
-/// Product of the inner tile widths: points one hexagonal row contributes
-/// per unit of b (Hex/Hybrid), or the whole per-tile thread count
-/// (Classical).
-int64_t innerPointsPerRow(const EmissionPlan &Plan, unsigned FirstDim) {
+/// Product of the inner tile widths of dimensions [1, EndDim): the points
+/// (EndDim = Rank) or outer rows (EndDim = Rank - 1) one dim-0 position of
+/// a region holds.
+int64_t innerWidthProduct(const EmissionPlan &Plan, unsigned EndDim) {
   unsigned Base = Plan.innerBaseDim();
   int64_t N = 1;
-  for (unsigned Dim = FirstDim; Dim < Plan.Rank; ++Dim)
+  for (unsigned Dim = 1; Dim < EndDim; ++Dim)
     N *= Plan.Inner[Dim - Base].Width;
   return N;
+}
+
+/// The compute sweep (or separate copy-out) of one barrier region whose
+/// dimension 0 is \p D0, the inner skews indexed by the local time \p UVar.
+/// The row form's innermost run is one inner tile's width (dimension 0's
+/// span at rank 1), clipped to the domain.
+ComputeSweep regionSweep(const EmissionPlan &Plan, const RegionDim0 &D0,
+                         const std::string &UVar, StmtAction Action) {
+  unsigned In = Plan.Rank - 1;
+  ComputeSweep S;
+  S.PointCount = D0.times(innerWidthProduct(Plan, Plan.Rank));
+  S.PointBind = bindCoords(Plan, Plan.Rank, "ht_tid", D0, UVar);
+  S.Guard = domainGuard(Plan, Plan.Rank);
+
+  std::string Start = D0.Origin + D0.Skew, Len = D0.times(1);
+  if (In > 0) {
+    int64_t W = Plan.Inner[In - Plan.innerBaseDim()].Width;
+    Start = "S" + std::to_string(In) + " * " + i64(W) +
+            skewTerm(Plan, In, UVar);
+    Len = i64(W);
+  }
+  std::string Run = coordVar(In), Lo = i64(Plan.Lo[In]),
+              Hi = i64(Plan.Hi[In]), End = "ht_run + " + Len;
+  S.RunSetup = {"const ht_int ht_run = " + Start + ";",
+                "const ht_int " + Run + " = ht_run > " + Lo + " ? ht_run : " +
+                    Lo + ";",
+                "const ht_int ht_n = (" + End + " < " + Hi + " ? " + End +
+                    " : " + Hi + ") - " + Run + ";"};
+  S.RowCount = In == 0 ? "1" : D0.times(innerWidthProduct(Plan, In));
+  if (In > 0)
+    S.RowBind = bindCoords(Plan, In, "ht_row", D0, UVar);
+  S.OuterGuard = domainGuard(Plan, In);
+  S.Stmts = sweptStmts(Plan, Action == StmtAction::CopyOut);
+  return S;
 }
 
 /// The hexagonal local time loop over a: one pass either computes the
@@ -686,14 +805,9 @@ void emitHexTimeLoop(Source &Out, const EmissionPlan &Plan,
   Out.line("const ht_int t = t0 + a;");
   Out.line("const ht_int ht_nb = ht_row_hi[a] - ht_row_lo[a] + 1;");
   Out.open("if (t >= 0 && t < " + i64(Plan.TimeExtent) + " && ht_nb > 0)");
-  int64_t RowPts = innerPointsPerRow(Plan, 1);
-  std::string Count =
-      RowPts == 1 ? "ht_nb" : "ht_nb * " + i64(RowPts);
-  Hooks.openThreadLoop(Out, "ht_tid", Count);
-  std::string BVar = emitLocalDecompose(Out, Plan, 1, "ht_tid", "a");
-  Out.line("const ht_int s0 = s0_0 + ht_row_lo[a] + " + BVar + ";");
-  emitGuardedDispatch(Out, Plan, Hooks, Action);
-  Hooks.closeThreadLoop(Out);
+  Hooks.sweep(Out, Plan,
+              regionSweep(Plan, {"s0_0 + ht_row_lo[a]", "", "ht_nb"}, "a",
+                          Action));
   Out.close(); // Row guard.
   Hooks.barrier(Out);
   Out.close(); // a loop.
@@ -727,15 +841,12 @@ void emitClassicalTimeLoop(Source &Out, const EmissionPlan &Plan,
   Out.open("for (ht_int u = 0; u < " + i64(Plan.Period) + "; ++u)");
   Out.line("const ht_int t = TB * " + i64(Plan.Period) + " + u;");
   Out.open("if (t < " + i64(Plan.TimeExtent) + ")");
-  Hooks.openThreadLoop(Out, "ht_tid", i64(innerPointsPerRow(Plan, 0)));
-  std::string L0 = emitLocalDecompose(Out, Plan, 1, "ht_tid", "u");
   const InnerTilePlan &I0 = Plan.Inner[0];
-  std::string Coord0 = "S0 * " + i64(I0.Width) + " + " + L0;
-  if (I0.SkewNum != 0)
-    Coord0 += " - " + skewTable(0) + "[u]";
-  Out.line("const ht_int s0 = " + Coord0 + ";");
-  emitGuardedDispatch(Out, Plan, Hooks, Action);
-  Hooks.closeThreadLoop(Out);
+  Hooks.sweep(Out, Plan,
+              regionSweep(Plan,
+                          {"S0 * " + i64(I0.Width), skewTerm(Plan, 0, "u"),
+                           "", I0.Width},
+                          "u", Action));
   Out.close(); // Time guard.
   Hooks.barrier(Out);
   Out.close(); // u loop.
@@ -791,15 +902,9 @@ void emitOverlappedBody(Source &Out, const EmissionPlan &Plan,
   Out.line("const ht_int ht_chi = ht_hi0 < " + i64(Plan.Hi[0]) +
            " ? ht_hi0 : " + i64(Plan.Hi[0]) + ";");
   Out.open("if (ht_chi > ht_clo)");
-  int64_t RowPts = innerPointsPerRow(Plan, 1);
-  std::string Count = "(ht_chi - ht_clo)";
-  if (RowPts != 1)
-    Count += " * " + i64(RowPts);
-  Hooks.openThreadLoop(Out, "ht_tid", Count);
-  std::string L0 = emitLocalDecompose(Out, Plan, 1, "ht_tid", "ht_v");
-  Out.line("const ht_int s0 = ht_clo + " + L0 + ";");
-  emitGuardedDispatch(Out, Plan, Hooks, StmtAction::Compute);
-  Hooks.closeThreadLoop(Out);
+  Hooks.sweep(Out, Plan,
+              regionSweep(Plan, {"ht_clo", "", "(ht_chi - ht_clo)"}, "ht_v",
+                          StmtAction::Compute));
   Out.close(); // Nonempty trapezoid guard.
   Out.close(); // Time guard.
   Hooks.barrier(Out);

@@ -23,16 +23,16 @@
 ///  * emitUnit -- renders everything below a target's prelude: the
 ///    constant tables, the overlapped per-tile scratch, every kernel of the
 ///    flavor and the `<prog>_host` driver. Targets parameterize it with
-///    EmitTargetHooks, which choose surface syntax only (how a kernel
-///    opens, the block index, how to open a forall-threads region, render
-///    a barrier, a buffer element access, a staging buffer, a launch, the
-///    loop of a staging copy), and the core emits identical *semantics*
-///    for every target: the same kernel set, loops, guards, statement
-///    dispatch and arithmetic, bit-exact with exec::executeInstance. When
-///    the compile's OptimizationConfig asks for shared-memory staging
-///    (Sec. 4.2), the body additionally renders the cooperative load
-///    phase, the barriers and the separate or interleaved copy-out over a
-///    per-tile StagingPlan window.
+///    EmitTargetHooks, which choose surface syntax and loop shape only (how
+///    a kernel opens, the block index, a barrier, a staging buffer, a
+///    launch, the loop of a staging copy and of a region's compute sweep),
+///    and the core emits identical *semantics* for every target: the same
+///    kernel set, loops, guards, statement dispatch, point set and
+///    arithmetic, bit-exact with exec::executeInstance. When the compile's
+///    OptimizationConfig asks for shared-memory staging (Sec. 4.2), the
+///    body additionally renders the cooperative load phase, the barriers
+///    and the separate or interleaved copy-out over a per-tile StagingPlan
+///    window.
 ///
 ///  * Rendering utilities -- the indented Source builder, exact float
 ///    literal formatting (hex-floats, so emitted constants round-trip
@@ -286,7 +286,91 @@ struct WindowCopy {
   std::string RunStageIdx, RunGlobalIdx, RunWrapIdx;
 };
 
-/// Syntax hooks one emission target provides to emitUnit.
+/// One buffer access of a swept statement, evaluated for both sweep forms:
+/// at one point with every coordinate bound, and relative to its group's
+/// base at the first cell of a row's innermost run.
+struct SweptAccess {
+  unsigned Group = 0;    ///< Its group in SweptStmt::Groups.
+  int64_t Disp = 0;      ///< Displacement from the group's first cell.
+  std::string PointIdx;  ///< Flat element index at the bound point.
+  /// Static placement only: the innermost coordinate of the access at the
+  /// run's first cell; cell i of the run sits at
+  /// ht_emod(WrapCoord + i, Wrap) in the group's window row.
+  std::string WrapCoord;
+};
+
+/// The accesses of one statement that share a buffer and a rotating slot.
+/// Each one's run of n cells is its group's base plus a compile-time
+/// displacement, so together they touch no cell outside the span
+/// [Base + Lo, Base + Hi + n). The buffer is one contiguous [0, Total),
+/// so the span escapes it exactly when some access's run does.
+struct AccessGroup {
+  std::string Buffer;    ///< "g_<field>" or "ht_s_<field>".
+  int64_t Total = 0;     ///< Elements of the buffer.
+  /// Flat index of the group's first access at the run's first cell; under
+  /// static placement, the first cell of that access's window row.
+  std::string Base;
+  int64_t Lo = 0, Hi = 0; ///< Lowest and highest displacement.
+  /// Static placement: the innermost window extent. The group then holds
+  /// one staged access, whose cells wrap within [Base, Base + Wrap).
+  int64_t Wrap = 0;
+};
+
+/// One statement as a compute sweep renders it.
+struct SweptStmt {
+  std::string Name;                 ///< For the emitted comment.
+  std::vector<AccessGroup> Groups;  ///< In order of first access.
+  std::vector<SweptAccess> Reads;   ///< Bound to ht_v0, ht_v1, ...
+  /// The exact right-hand side over ht_v<i>. Empty in the separate
+  /// copy-out, which moves Reads[0] (the staged result) to Writes[0].
+  std::string RHS;
+  /// The written cells. Compute: the staged one when the plan stages,
+  /// then the global one when unstaged or interleaved. Copy-out: the
+  /// global one.
+  std::vector<SweptAccess> Writes;
+};
+
+/// Evaluates every statement of \p Plan for a sweep: the compute pass, or
+/// with \p CopyOut the separate copy-out of the staged results.
+std::vector<SweptStmt> sweptStmts(const EmissionPlan &Plan, bool CopyOut);
+
+/// One barrier region's compute pass (or the separate copy-out's replay of
+/// it): every domain point of the tile at one local time, with no
+/// dependence between them. The emission core evaluates it once as the
+/// fragments below; EmitTargetHooks::sweep renders the loop from them.
+struct ComputeSweep {
+  /// One logical thread per point: the point count, the lines binding
+  /// s0..sn from the id ht_tid, and the domain test over every dimension.
+  std::string PointCount;
+  std::vector<std::string> PointBind;
+  std::string Guard;
+  /// One logical thread per outer row (every coordinate but the
+  /// innermost). RunSetup binds, once per region, the innermost coordinate
+  /// s<n> of the run's first cell and the run's length ht_n, both clipped
+  /// to the domain. RowBind binds the outer coordinates from the id ht_row
+  /// and OuterGuard tests them ("" at rank 1, whose one row is the run).
+  std::vector<std::string> RunSetup;
+  std::string RowCount;
+  std::vector<std::string> RowBind;
+  std::string OuterGuard;
+  std::vector<SweptStmt> Stmts;     ///< Indexed by t mod NumStmts.
+};
+
+/// Emits the statement dispatch of \p Sweep on the canonical time t (the
+/// ht_step binding, then a switch when there are several statements),
+/// calling \p Update for each statement.
+void emitSweepDispatch(Source &Out, const EmissionPlan &Plan,
+                       const ComputeSweep &Sweep,
+                       const std::function<void(const SweptStmt &)> &Update);
+
+/// Emits the update of \p St at one cell, spelling each access through
+/// \p Cell: the reads into ht_v<i>, then the RHS into the written cells
+/// (through ht_out when staged), or the copy-out's move.
+void emitSweptUpdate(
+    Source &Out, const EmissionPlan &Plan, const SweptStmt &St,
+    const std::function<std::string(const SweptAccess &)> &Cell);
+
+/// Syntax and loop-shape hooks one emission target provides to emitUnit.
 struct EmitTargetHooks {
   /// Opens the definition of kernel \p Name over the parameter list
   /// \p Params (field buffers, then the flavor's tail parameters), leaving
@@ -312,42 +396,27 @@ struct EmitTargetHooks {
                             const std::string &NumBlocks,
                             const std::string &Args)>
       launch;
-  /// Opens the forall-threads region over \p CountExpr points, binding the
-  /// linear point id to \p TidVar (CUDA: a blockDim-stride loop; host: a
-  /// plain serial loop). Must leave Out indented inside the region.
-  std::function<void(Source &Out, const std::string &TidVar,
-                     const std::string &CountExpr)>
-      openThreadLoop;
-  /// Closes the forall-threads region.
-  std::function<void(Source &Out)> closeThreadLoop;
   /// Emits the intra-kernel barrier separating consecutive local time
   /// steps (CUDA: __syncthreads(); host: a no-op, since the serial thread
   /// loop already retires a whole region before the next one starts).
   std::function<void(Source &Out)> barrier;
-  /// Renders the element of field \p F at flat element index \p IdxExpr
-  /// (rotating slot already folded in) as an lvalue expression (the host
-  /// target inserts its bounds-checked accessor here).
-  std::function<std::string(const EmissionPlan &P, unsigned F,
-                            const std::string &IdxExpr)>
-      access;
   /// Declares the tile-local staging buffer \p Name of \p Count floats
   /// (CUDA: __shared__; host: the shim's HT_SHARED per-block arena). Only
   /// invoked when the plan's StagingPlan is enabled.
   std::function<void(Source &Out, const std::string &Name, int64_t Count)>
       declareShared;
-  /// Renders element \p IdxExpr of staging buffer \p Name (\p Total floats)
-  /// as an lvalue (the host target bounds-checks through the same HT_AT
-  /// trap the global buffers use, so a staged access escaping its window
-  /// aborts with the buffer named).
-  std::function<std::string(const std::string &Name,
-                            const std::string &IdxExpr, int64_t Total)>
-      stageAccess;
   /// Renders the loop of \p Copy (CUDA: one thread per element, so a
   /// warp's accesses coalesce; host: one thread per rotating slot x outer
   /// row, each copying its row's innermost run at once).
   std::function<void(Source &Out, const EmissionPlan &Plan,
                      const WindowCopy &Copy)>
       copyWindow;
+  /// Renders the loop of \p Sweep (CUDA: one thread per point, the paper's
+  /// mapping; host: one thread per outer row, each checking every access
+  /// group's span once and then running the row's innermost run).
+  std::function<void(Source &Out, const EmissionPlan &Plan,
+                     const ComputeSweep &Sweep)>
+      sweep;
 };
 
 /// Emits everything of one unit below the target's prelude into \p Out:
@@ -363,8 +432,8 @@ struct EmitTargetHooks {
 ///    (Classical: `TB` tail, one block) or "<prog>_oband"/"<prog>_ocopy"
 ///    (Overlapped: `TB` tail, `S0 = block`, the core tile) -- with the
 ///    sequential classical tile loops, the local time loop with its
-///    barrier, the forall-threads point enumeration, domain guards,
-///    statement dispatch and the bit-exact update arithmetic;
+///    barrier and one compute sweep per region (point set, domain guards,
+///    statement dispatch and the bit-exact update arithmetic);
 ///  * the `<prog>_host(<field buffers>)` driver: the sequential time-tile
 ///    (or band) loop with per-phase tile-range guards, per-launch S0
 ///    window computation and one launch per kernel.

@@ -29,9 +29,10 @@ std::string codegen::hostShimSource() {
 //    their first parameter;
 //  * HT_LAUNCH_1D is the blockIdx loop: blocks run one after another, in
 //    ascending order -- a legal serialization of CUDA's concurrent blocks;
-//  * HT_FOR_THREADS is the threadIdx loop: each barrier-delimited region
-//    of the kernel runs to completion for every thread before the next
-//    region starts, so
+//  * HT_FOR_THREADS is the threadIdx loop over a region's logical threads
+//    (one per outer row of a compute sweep or of a staging copy): each
+//    barrier-delimited region of the kernel runs to completion for every
+//    thread before the next region starts, so
 //  * __syncthreads() is a no-op (the serial thread loop *is* the
 //    block-serial barrier).
 //
@@ -87,14 +88,19 @@ std::string codegen::hostShimSource() {
 //    per-kernel buffer per declaration gives exactly the __shared__
 //    lifetime -- contents are undefined at tile start and must be
 //    (re)loaded by the staging load phase every tile;
-//  * every buffer element access -- global rotating buffers *and* the
-//    staging windows -- goes through HT_AT, which traps (with a
-//    diagnostic naming the buffer) on any out-of-bounds index instead of
-//    reading garbage;
+//  * a compute sweep's row checks each group of its accesses that share
+//    a buffer and a rotating slot once, with ht_check_run over the span
+//    [lowest displacement, highest displacement + n) of its n-cell run,
+//    and then indexes the run with plain subscripts. The buffer is one
+//    contiguous [0, Total), so the span escapes it exactly when one
+//    access's run does: a row that would touch memory outside a global
+//    rotating buffer *or* a staging window traps first, with a diagnostic
+//    naming the buffer and the first out-of-range index (HT_AT is the
+//    same trap for one element);
 //  * the staging copies (the cooperative load and the overlapped ocopy)
 //    move one innermost window row at a time through HT_COPY_RUN, which
-//    checks the whole run against both buffers first and traps with
-//    HT_AT's diagnostic, naming the run's first out-of-range index;
+//    checks the whole run against both buffers first and traps the same
+//    way;
 //  * no system header is included: the few C library entry points the
 //    units call are declared below, and the copy is __builtin_memcpy.
 //
@@ -267,6 +273,52 @@ std::string codegen::hostEntryName(const ir::StencilProgram &P) {
 
 namespace {
 
+/// Opens the shim's forall-threads loop binding \p Tid over [0, \p Count).
+void openThreadLoop(Source &Out, const std::string &Tid,
+                    const std::string &Count) {
+  Out.open("HT_FOR_THREADS(" + Tid + ", " + Count + ")");
+}
+
+/// "<Base> + (<Off>)", or \p Base when \p Off is 0.
+std::string plus(const std::string &Base, int64_t Off) {
+  return Off == 0 ? Base : Base + " + (" + std::to_string(Off) + ")";
+}
+
+/// One row's update of \p St: each access group's base and one check of
+/// its span, then a plain loop of unchecked subscripts over the run's ht_n
+/// cells in ascending order. The separate copy-out takes the same form: a
+/// row's run is a few cells, which a plain loop moves faster than a
+/// memcpy call.
+void emitRowUpdate(Source &Out, const EmissionPlan &Plan,
+                   const SweptStmt &St) {
+  for (size_t G = 0; G < St.Groups.size(); ++G) {
+    const AccessGroup &Grp = St.Groups[G];
+    std::string B = "ht_b" + std::to_string(G);
+    // [B + Lo, B + Hi + ht_n), or the whole window row [B, B + Wrap).
+    std::string Span =
+        Grp.Wrap ? B + ", " + std::to_string(Grp.Wrap)
+                 : plus(B, Grp.Lo) + ", " +
+                       (Grp.Hi > Grp.Lo ? std::to_string(Grp.Hi - Grp.Lo) +
+                                              " + "
+                                        : "") +
+                       "ht_n";
+    Out.line("const ht_int " + B + " = " + Grp.Base + ";");
+    Out.line("ht_check_run(" + Grp.Buffer + ", " + Span + ", " +
+             std::to_string(Grp.Total) + ", \"" + Grp.Buffer + "\");");
+  }
+  Out.open("for (ht_int ht_i = 0; ht_i < ht_n; ++ht_i)");
+  emitSweptUpdate(Out, Plan, St, [&](const SweptAccess &A) {
+    const AccessGroup &Grp = St.Groups[A.Group];
+    std::string B = "ht_b" + std::to_string(A.Group);
+    std::string Idx = Grp.Wrap ? B + " + ht_emod(" + A.WrapCoord +
+                                     " + ht_i, " + std::to_string(Grp.Wrap) +
+                                     ")"
+                               : plus(B, A.Disp) + " + ht_i";
+    return Grp.Buffer + "[" + Idx + "]";
+  });
+  Out.close();
+}
+
 EmitTargetHooks hostHooks() {
   EmitTargetHooks H;
   H.openKernel = [](Source &Out, const std::string &Name,
@@ -283,31 +335,16 @@ EmitTargetHooks hostHooks() {
                 const std::string &Args) {
     return "HT_LAUNCH_1D(" + Name + ", " + NumBlocks + ", " + Args + ");";
   };
-  H.openThreadLoop = [](Source &Out, const std::string &Tid,
-                        const std::string &Count) {
-    Out.open("HT_FOR_THREADS(" + Tid + ", " + Count + ")");
-  };
-  H.closeThreadLoop = [](Source &Out) { Out.close(); };
   H.barrier = [](Source &Out) { Out.line("__syncthreads();"); };
-  H.access = [](const EmissionPlan &Plan, unsigned F,
-                const std::string &Idx) {
-    return "HT_AT(" + Plan.fieldArg(F) + ", " + Idx + ", " +
-           std::to_string(Plan.fieldTotalElems(F)) + ")";
-  };
   H.declareShared = [](Source &Out, const std::string &Name,
                        int64_t Count) {
     Out.line("HT_SHARED(" + Name + ", " + std::to_string(Count) + ");");
   };
-  H.stageAccess = [](const std::string &Name, const std::string &Idx,
-                     int64_t Total) {
-    return "HT_AT(" + Name + ", " + Idx + ", " + std::to_string(Total) +
-           ")";
-  };
   // One thread per rotating slot x outer row: the row's innermost run is
   // contiguous in both buffers, so it moves through one range-checked
   // HT_COPY_RUN instead of a decoded, guarded, checked access per cell.
-  H.copyWindow = [H](Source &Out, const EmissionPlan &Plan,
-                     const WindowCopy &Copy) {
+  H.copyWindow = [](Source &Out, const EmissionPlan &Plan,
+                    const WindowCopy &Copy) {
     for (const std::string &L : Copy.RunSetup)
       Out.line(L);
     int64_t Rows = 1;
@@ -325,7 +362,7 @@ EmitTargetHooks hostHooks() {
                                  : Global + ", " + Staged) +
                  ", " + Len + ");");
       };
-      H.openThreadLoop(
+      openThreadLoop(
           Out, Copy.Tid,
           std::to_string(static_cast<int64_t>(Plan.Depth[F]) * Rows));
       Out.line("ht_int ht_r = " + Copy.Tid + ";");
@@ -343,8 +380,29 @@ EmitTargetHooks hostHooks() {
       }
       if (!Copy.OuterGuard.empty())
         Out.close();
-      H.closeThreadLoop(Out);
+      Out.close();
     }
+  };
+  // One thread per outer row: the row's innermost run is clipped to the
+  // domain once per region, each access group is checked once per row, and
+  // the run's cells take no decode, guard or per-access check.
+  H.sweep = [](Source &Out, const EmissionPlan &Plan,
+               const ComputeSweep &Sweep) {
+    for (const std::string &L : Sweep.RunSetup)
+      Out.line(L);
+    Out.open("if (ht_n > 0)");
+    openThreadLoop(Out, "ht_row", Sweep.RowCount);
+    for (const std::string &L : Sweep.RowBind)
+      Out.line(L);
+    if (!Sweep.OuterGuard.empty())
+      Out.open("if (" + Sweep.OuterGuard + ")");
+    emitSweepDispatch(Out, Plan, Sweep, [&](const SweptStmt &St) {
+      emitRowUpdate(Out, Plan, St);
+    });
+    if (!Sweep.OuterGuard.empty())
+      Out.close();
+    Out.close();
+    Out.close();
   };
   return H;
 }

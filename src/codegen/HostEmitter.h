@@ -10,9 +10,12 @@
 /// execution model onto serial host execution (the blockIdx loop lives in
 /// HT_LAUNCH_1D, the threadIdx loop in HT_FOR_THREADS, __syncthreads() is
 /// a no-op "block-serial barrier", HT_SHARED is the per-block __shared__
-/// arena the Sec. 4.2 staging windows live in, every buffer access --
-/// global and staged -- is bounds-checked, and the staging copies move
-/// one range-checked window row at a time). The shim includes no system
+/// arena the Sec. 4.2 staging windows live in). The host rendering is
+/// shaped for a CPU rather than copied from the CUDA text: a compute
+/// region runs one logical thread per outer row, which checks each access
+/// group's span once and then sweeps its innermost run with plain
+/// subscripts, and the staging copies move one range-checked window row
+/// at a time. The shim includes no system
 /// header; a parallel-shim unit runs its blocks on the worker teams of
 /// service/ShimRuntime, which the loader binds into it through the
 /// exported `ht_shim_bind`. The unit exports one
@@ -53,6 +56,13 @@ std::string hostShimSource();
 /// part of a string literal.
 #define HEXTILE_HOST_SHIM_ABI 1
 constexpr long long HostShimAbi = HEXTILE_HOST_SHIM_ABI;
+
+/// Version of the host unit text: service::makeCompileKey hashes it into
+/// every host-target key, so an artifact store never serves a unit emitted
+/// in an older format for an unchanged request. Bump when `emitHost`'s
+/// text for an unchanged request changes. 2: compute sweeps run one
+/// logical thread per outer row.
+constexpr long long HostUnitFormat = 2;
 
 /// Name of the emitted `extern "C"` entry point: "<program name>_run",
 /// with signature `void(float **fields)` (one rotating-buffer array per

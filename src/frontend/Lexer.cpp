@@ -160,7 +160,7 @@ std::vector<Token> frontend::tokenize(const std::string &Source) {
     case '+':
       if (I + 1 < N && Source[I + 1] == '+') {
         K = TokenKind::PlusPlus;
-        Text = "++";
+        Text += '+';
         ++I;
       } else {
         K = TokenKind::Plus;

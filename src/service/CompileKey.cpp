@@ -2,6 +2,7 @@
 
 #include "service/CompileKey.h"
 
+#include "codegen/HostEmitter.h"
 #include "support/Hash.h"
 
 #include <algorithm>
@@ -140,5 +141,8 @@ CompileKey service::makeCompileKey(const CompileRequest &R) {
   K.words(O.UseSharedMemory, O.InterleaveCopyOut, O.AlignLoads, O.Reuse,
           O.UnrollCore, O.RegisterTile, O.EmitStaticReuse, O.ShimThreads,
           R.Flavor, R.Target);
+  // Host units only: a change of the host text moves no CUDA key.
+  if (R.Target == TargetKind::Host)
+    K.words(codegen::HostUnitFormat);
   return CompileKey{mix64(K.B), mix64(K.A)};
 }

@@ -87,6 +87,7 @@ struct CompileRequest {
 
 /// Content-hashes \p R by walking it. A new member of any request type
 /// must enter this walk, or two requests differing only in it collide.
+/// Host-target keys also hash codegen::HostUnitFormat.
 CompileKey makeCompileKey(const CompileRequest &R);
 
 } // namespace service

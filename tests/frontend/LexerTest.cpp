@@ -19,6 +19,7 @@ TEST(LexerTest, BasicTokens) {
   EXPECT_EQ(T[4].IntValue, 0);
   EXPECT_EQ(T[7].Kind, TokenKind::Less);
   EXPECT_EQ(T[11].Kind, TokenKind::PlusPlus);
+  EXPECT_EQ(T[11].Text, "++");
   EXPECT_EQ(T.back().Kind, TokenKind::Eof);
 }
 

@@ -205,6 +205,55 @@ TEST(HostKernelRunnerDeathTest, RunCopyTrapsRunsCrossingEitherBufferEnd) {
                "out-of-bounds access to ht_s_A: index -1 not in \\[0, 8\\)");
 }
 
+namespace {
+
+/// One row of a staged compute sweep, spelled as the emitter spells it: a
+/// group of three reads at displacements -1, 0 and +1 from its base s0 in
+/// an 8-float HT_SHARED window holding 0..7, checked once over its span
+/// and summed into out[0, n).
+constexpr const char *RowSweepSource = R"cpp(#include "cuda_shim.h"
+extern "C" void ht_row(ht_int s0, ht_int ht_n, float *out) {
+  HT_SHARED(ht_s_A, 8);
+  for (ht_int i = 0; i < 8; ++i)
+    ht_s_A[i] = (float)i;
+  const ht_int ht_b0 = s0;
+  ht_check_run(ht_s_A, ht_b0 + (-1), 2 + ht_n, 8, "ht_s_A");
+  for (ht_int ht_i = 0; ht_i < ht_n; ++ht_i) {
+    const float ht_v0 = ht_s_A[ht_b0 + (-1) + ht_i];
+    const float ht_v1 = ht_s_A[ht_b0 + ht_i];
+    const float ht_v2 = ht_s_A[ht_b0 + (1) + ht_i];
+    out[ht_i] = (ht_v0 + ht_v1) + ht_v2;
+  }
+}
+)cpp";
+
+using RowFn = void (*)(long long, long long, float *);
+
+} // namespace
+
+TEST(HostKernelRunnerDeathTest, RowSpanCheckTrapsEitherWindowEnd) {
+  SKIP_WITHOUT_COMPILER();
+  JitUnit Unit;
+  ASSERT_EQ(Unit.build(RowSweepSource), "");
+  auto Row = reinterpret_cast<RowFn>(Unit.symbol("ht_row"));
+  ASSERT_NE(Row, nullptr);
+  // A row whose span [0, 8) stays inside computes every cell.
+  float Out[6];
+  Row(1, 6, Out);
+  for (int I = 0; I < 6; ++I)
+    EXPECT_EQ(Out[I], static_cast<float>(3 * I + 3)) << "cell " << I;
+  // The highest-displacement read of the last cell crosses the window's
+  // end; the lowest-displacement read of the first cell starts before it.
+  // Either way the row traps before any cell is read, naming the staging
+  // buffer and the first out-of-range index.
+  EXPECT_DEATH(Row(2, 6, Out),
+               "cuda_shim: out-of-bounds access to ht_s_A: index 8 not in "
+               "\\[0, 8\\)");
+  EXPECT_DEATH(Row(0, 3, Out),
+               "cuda_shim: out-of-bounds access to ht_s_A: index -1 not in "
+               "\\[0, 8\\)");
+}
+
 TEST(HostKernelRunnerTest, ShimCheckedAccessReadsInBounds) {
   SKIP_WITHOUT_COMPILER();
   JitUnit Unit;

@@ -14,8 +14,9 @@
 //    exactly once off the shared atomic counter;
 //  * bounds traps: HT_AT aborts with the correct buffer name when the
 //    out-of-bounds access happens on a worker thread (global buffers and
-//    HT_SHARED staging arenas both), and so does an HT_COPY_RUN run that
-//    crosses either end of either buffer;
+//    HT_SHARED staging arenas both), and so do an HT_COPY_RUN run that
+//    crosses either end of either buffer and a compute row whose span
+//    check sees a read cross either end of its staging window;
 //  * the process-wide runtime (service/ShimRuntime): two units with
 //    different baked-in team sizes each get their own per launch, a
 //    forked child launches on a fresh pool instead of waiting on its
@@ -183,6 +184,33 @@ __global__ void run_copy(ht_int ht_block, float *g_buf, ht_int gIdx,
 extern "C" void run_copy_run(float *g_buf, ht_int gIdx, ht_int sIdx,
                              ht_int n) {
   HT_LAUNCH_1D(run_copy, 1, g_buf, gIdx, sIdx, n);
+}
+
+static float RowOut[8];
+
+/// One compute-sweep row as the emitter spells it: reads at displacements
+/// -1, 0 and +1 from s0 in a window holding 0..7, one span check.
+__global__ void row(ht_int ht_block, ht_int s0, ht_int ht_n) {
+  (void)ht_block;
+  HT_SHARED(ht_s_A, 8);
+  HT_FOR_THREADS(ht_row, 1) {
+    for (ht_int i = 0; i < 8; ++i)
+      ht_s_A[i] = (float)i;
+    const ht_int ht_b0 = s0;
+    ht_check_run(ht_s_A, ht_b0 + (-1), 2 + ht_n, 8, "ht_s_A");
+    for (ht_int ht_i = 0; ht_i < ht_n; ++ht_i)
+      RowOut[ht_i] = (ht_s_A[ht_b0 + (-1) + ht_i] + ht_s_A[ht_b0 + ht_i]) +
+                     ht_s_A[ht_b0 + (1) + ht_i];
+  }
+}
+
+/// Runs the row and returns the sum of its n results.
+extern "C" float row_run(ht_int s0, ht_int n) {
+  HT_LAUNCH_1D(row, 1, s0, n);
+  float Sum = 0;
+  for (ht_int I = 0; I < n; ++I)
+    Sum += RowOut[I];
+  return Sum;
 }
 )cpp";
 
@@ -411,4 +439,24 @@ TEST(ShimRuntimeTest, UnitRejectingTheRuntimeAbiFailsToLoad) {
   Unit.reset();
   EXPECT_TRUE(std::filesystem::exists(Dir / "kernel.so"));
   std::filesystem::remove_all(Dir);
+}
+
+TEST(ShimRuntimeDeathTest, RowSpanTrapNamesBufferUnderParallelDispatch) {
+  if (!JitUnit::available())
+    GTEST_SKIP() << "no system C++ compiler; shim runtime not exercised";
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  JitUnit Unit;
+  ASSERT_EQ(Unit.build(TrapSource), "");
+  auto Row = reinterpret_cast<float (*)(long long, long long)>(
+      Unit.symbol("row_run"));
+  ASSERT_NE(Row, nullptr);
+  // Inside the window: cells 3i + 3 for i < 6, summed.
+  EXPECT_EQ(Row(1, 6), 63.0f);
+  // The highest read crosses the window's end; the lowest starts before it.
+  EXPECT_DEATH(Row(2, 6),
+               "cuda_shim: out-of-bounds access to ht_s_A: index 8 not in "
+               "\\[0, 8\\)");
+  EXPECT_DEATH(Row(0, 3),
+               "cuda_shim: out-of-bounds access to ht_s_A: index -1 not in "
+               "\\[0, 8\\)");
 }

@@ -246,8 +246,17 @@ TEST(CompileKeyTest, GoldenKey) {
   // Keys name the units of an on-disk store that later processes reopen,
   // so a key must not depend on anything but the request. Changing this
   // value orphans every existing store: each of its units recompiles once.
+  // Host keys move with codegen::HostUnitFormat.
   EXPECT_EQ(makeCompileKey(baseRequest()).hex(),
-            "31ec81b71a9595f0e8ede386474ac137");
+            "cede48853e862d0f8a85c0fe360ae1a6");
+}
+
+TEST(CompileKeyTest, GoldenCudaKey) {
+  // The CUDA text does not depend on the host unit format, so neither
+  // does a CUDA key: a host format bump leaves CUDA stores valid.
+  CompileRequest R = baseRequest();
+  R.Target = TargetKind::Cuda;
+  EXPECT_EQ(makeCompileKey(R).hex(), "49e6fa30c01a1964cf7f7f2087352445");
 }
 
 TEST(CompileKeyTest, HexRoundTripAndRejection) {
