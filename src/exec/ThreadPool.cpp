@@ -31,28 +31,32 @@ struct ThreadPool::Task {
   /// calls a body whose parallelFor has returned.
   void work() {
     size_t C;
-    while ((C = Next.fetch_add(1, std::memory_order_relaxed)) < NumChunks) {
-      if (!Abort.load(std::memory_order_relaxed)) {
-        try {
-          size_t End = std::min(N, (C + 1) * ChunkSize);
-          for (size_t I = C * ChunkSize; I < End; ++I)
-            Body(I);
-        } catch (...) {
-          std::lock_guard<std::mutex> Lock(ErrorMutex);
-          if (!Error)
-            Error = std::current_exception();
-          Abort.store(true, std::memory_order_relaxed);
-        }
+    while ((C = Next.fetch_add(1, std::memory_order_relaxed)) < NumChunks)
+      run(C);
+  }
+
+  /// Runs claimed chunk \p C (unless an earlier chunk threw) and retires it.
+  void run(size_t C) {
+    if (!Abort.load(std::memory_order_relaxed)) {
+      try {
+        size_t End = std::min(N, (C + 1) * ChunkSize);
+        for (size_t I = C * ChunkSize; I < End; ++I)
+          Body(I);
+      } catch (...) {
+        std::lock_guard<std::mutex> Lock(ErrorMutex);
+        if (!Error)
+          Error = std::current_exception();
+        Abort.store(true, std::memory_order_relaxed);
       }
-      // Release: pairs with the acquire load at the barrier, making every
-      // write of this chunk visible to the caller once it reads zero.
-      Remaining.fetch_sub(1, std::memory_order_release);
     }
+    // Release: pairs with the acquire load at the barrier, making every
+    // write of this chunk visible to the caller once it reads zero.
+    Remaining.fetch_sub(1, std::memory_order_release);
   }
 
   const std::function<void(size_t)> &Body;
   const size_t N, ChunkSize, NumChunks;
-  std::atomic<size_t> Next{0};     ///< Claim cursor, in chunks.
+  std::atomic<size_t> Next{1};     ///< Claim cursor; chunk 0 is the caller's.
   std::atomic<size_t> Remaining;   ///< Chunks not yet completed.
   std::atomic<bool> Abort{false};  ///< Set after the first exception.
   std::mutex ErrorMutex;
@@ -121,10 +125,11 @@ void ThreadPool::parallelFor(size_t N, const std::function<void(size_t)> &Fn,
   }
   TaskCv.notify_all();
 
-  // The caller claims too. Once the cursor is used up, other participants
-  // may still be running their last chunks (which may yet throw), so wait
-  // for Remaining == 0 (acquire): every iteration's writes are then
-  // visible here, and so is the error any chunk recorded.
+  // The caller runs chunk 0, then claims too. Once the cursor is used up,
+  // other participants may still be running their last chunks (which may
+  // yet throw), so wait for Remaining == 0 (acquire): every iteration's
+  // writes are then visible here, and so is the error any chunk recorded.
+  T->run(0);
   T->work();
   while (T->Remaining.load(std::memory_order_acquire) != 0)
     std::this_thread::yield();

@@ -5,21 +5,27 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small thread pool built for wavefront replay: the unit of work is a
-/// parallelFor over [0, N) whose iterations are mutually independent, and
-/// the call is a full barrier -- it returns only once every iteration has
-/// finished, with all worker writes visible to the caller (release
-/// decrements on completion, acquire load at the barrier).
+/// The one worker pool of hextile. Wavefront replay (ThreadPoolBackend),
+/// DeviceSim's per-device phases, the compile service's batches and the
+/// parallel host shim's worker teams (service/ShimRuntime) all run on it.
+/// The unit of work is a parallelFor over [0, N) whose iterations are
+/// mutually independent, and the call is a full barrier -- it returns only
+/// once every iteration has finished, with all worker writes visible to
+/// the caller (release decrements on completion, acquire load at the
+/// barrier).
 ///
 /// Each parallelFor publishes one task: the iteration space cut into equal
-/// contiguous chunks (the last may be shorter) and one claim cursor. Every
-/// participant, the caller included, claims the next chunk with a single
-/// fetch_add until the cursor passes the last chunk -- the discipline of one
-/// GPU launch whose thread blocks take block indices from a shared counter,
-/// which is how the emitted shim models the paper's per-row hexagonal
-/// launches. Chunks are therefore claimed in index order. The caller
-/// participates as worker 0, so a pool of size 1 degenerates to inline
-/// execution with no handoff.
+/// contiguous chunks (the last may be shorter) and one claim cursor. The
+/// caller runs chunk 0 and then, like every other participant, claims the
+/// next chunk with a single fetch_add until the cursor passes the last
+/// chunk -- the discipline of one GPU launch whose thread blocks take block
+/// indices from a shared counter. Chunks are therefore claimed in index
+/// order, and a pool of size 1 degenerates to inline execution with no
+/// handoff.
+///
+/// gang() is the one entry whose iterations may wait on each other: it
+/// runs one rank per participant, all at the same time, so the shim can
+/// play a grid of CUDA thread teams whose ranks meet at __syncthreads.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -81,6 +87,19 @@ public:
   /// barrier per wavefront.
   void parallelFor(size_t N, const std::function<void(size_t)> &Fn,
                    size_t MinPerChunk = 1);
+
+  /// Runs \p Fn(Rank) once for each Rank in [0, numThreads()), the caller
+  /// as rank 0: a parallelFor of one iteration per participant with no
+  /// batching floor, so a gang of two or more never runs inline. Unlike
+  /// parallelFor's iterations, ranks may wait on each other (the shim's
+  /// team barrier): a participant that holds a rank is busy until that
+  /// rank returns, and there are as many participants as ranks, so while
+  /// a rank is unclaimed some participant is free to claim it. \p Fn must
+  /// not throw: the abort flag would skip the unclaimed ranks and leave
+  /// their teammates waiting forever.
+  void gang(const std::function<void(size_t)> &Fn) {
+    parallelFor(numThreads(), Fn, /*MinPerChunk=*/0);
+  }
 
   /// Chunks published by parallelFor over this pool's lifetime; inline
   /// executions (small N, or a pool of one) publish none. Monotonic --

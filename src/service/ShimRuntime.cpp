@@ -3,9 +3,10 @@
 #include "service/ShimRuntime.h"
 
 #include "codegen/HostEmitter.h"
+#include "exec/ThreadPool.h"
 
+#include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdlib>
 #include <dlfcn.h>
 #include <memory>
@@ -60,155 +61,84 @@ struct Team {
 
 thread_local Team *CurTeam = nullptr;
 
+/// Most threads one process's shim pool holds, the launcher included.
+constexpr ht_int MaxPoolThreads = 256;
+
 /// Environment override (HT_SHIM_THREADS / HT_SHIM_TEAMS), clamped to
-/// [1, 256]; \p Fallback when unset or unparsable.
+/// [1, MaxPoolThreads]; \p Fallback when unset or unparsable.
 ht_int envOr(const char *Name, ht_int Fallback) {
   const char *V = getenv(Name);
   ht_int N = (V && *V) ? atoll(V) : Fallback;
   if (N < 1)
     N = Fallback;
-  return N > 256 ? 256 : N;
+  return std::min(N, MaxPoolThreads);
 }
 
-/// The worker pool: TeamCount teams of TeamSize threads, created on first
-/// launch and re-shaped whenever a launch asks for a different geometry.
-struct Pool {
+/// The process's runtime, tagged with the pid it belongs to: Teams.size()
+/// teams of TeamSize threads, played by one exec::ThreadPool with one
+/// participant per team thread. Never destroyed: the workers stay parked
+/// until the process exits.
+struct Runtime {
+  explicit Runtime(pid_t Pid) : Pid(Pid) {}
+  const pid_t Pid;
+  /// Read once: glibc reads /sys on every hardware_concurrency() call.
+  const ht_int HardwareThreads = exec::resolveNumThreads(0);
+  std::mutex LaunchMutex;
   ht_int TeamSize = 0;
-  ht_int TeamCount = 0;
-  std::vector<Team *> Teams;
-  std::vector<std::thread> Workers;
-
-  std::mutex M;
-  std::condition_variable WorkCv, DoneCv;
-  bool Shutdown = false;
-  unsigned long long Epoch = 0;
-  ht_int DoneThreads = 0;
-  ht_shim_block_fn JobFn = nullptr;
-  const void *JobCtx = nullptr;
-  ht_int JobBlocks = 0;
+  std::vector<Team> Teams;
+  std::unique_ptr<exec::ThreadPool> Pool;
   std::atomic<ht_int> NextBlock{0};
-
-  ~Pool() { stop(); }
-
-  void stop() {
-    if (!Workers.empty()) {
-      {
-        std::lock_guard<std::mutex> L(M);
-        Shutdown = true;
-      }
-      WorkCv.notify_all();
-      for (std::thread &W : Workers)
-        W.join();
-      Workers.clear();
-      Shutdown = false;
-    }
-    for (Team *T : Teams)
-      delete T;
-    Teams.clear();
-  }
 
   /// (Re)builds the pool to match the geometry the environment and the
   /// launching unit ask for: \p Threads is the unit's baked-in team size,
   /// and \p SingleTeam pins one team (a staged unit's blocks stay serial).
-  /// Only called between launches, under the launch mutex.
+  /// Teams are dropped until the pool fits in MaxPoolThreads.
   void ensure(ht_int Threads, bool SingleTeam) {
-    ht_int WantSize = envOr("HT_SHIM_THREADS", Threads);
-    ht_int WantCount = 1;
-    if (!SingleTeam) {
-      ht_int HW = (ht_int)std::thread::hardware_concurrency();
-      if (HW < 1)
-        HW = 1;
-      ht_int DefaultCount = HW / WantSize;
-      if (DefaultCount < 1)
-        DefaultCount = 1;
-      WantCount = envOr("HT_SHIM_TEAMS", DefaultCount);
-    }
-    if (WantSize == TeamSize && WantCount == TeamCount)
+    ht_int Size = envOr("HT_SHIM_THREADS", Threads);
+    ht_int Count =
+        SingleTeam ? 1
+                   : envOr("HT_SHIM_TEAMS",
+                           std::max<ht_int>(HardwareThreads / Size, 1));
+    Count = std::min(Count, MaxPoolThreads / Size);
+    if (Size == TeamSize && Count == (ht_int)Teams.size())
       return;
-    stop();
-    TeamSize = WantSize;
-    TeamCount = WantCount;
-    for (ht_int T = 0; T < TeamCount; ++T) {
-      Teams.push_back(new Team());
-      Teams.back()->Size = TeamSize;
-    }
-    // Workers capture the current epoch at spawn (not at first wakeup):
-    // a pool re-shaped after earlier launches must not hand the stale job
-    // to -- or hide the next job from -- a freshly spawned thread.
-    for (ht_int T = 0; T < TeamCount; ++T)
-      for (ht_int R = 0; R < TeamSize; ++R)
-        Workers.emplace_back(&Pool::work, this, T, R, Epoch);
+    Pool.reset(); // Joins the old workers before the new ones start.
+    Pool = std::make_unique<exec::ThreadPool>(Count * Size);
+    Teams = std::vector<Team>(Count);
+    for (Team &T : Teams)
+      T.Size = Size;
+    TeamSize = Size;
   }
 
-  void work(ht_int TeamIdx, ht_int Rank, unsigned long long Seen) {
-    Team &T = *Teams[TeamIdx];
+  /// Plays pool rank \p Rank as rank Rank % TeamSize of team Rank /
+  /// TeamSize: the team retires blocks off the shared counter until it
+  /// runs dry.
+  void play(size_t Rank, ht_shim_block_fn Fn, const void *Ctx,
+            ht_int NBlocks) {
+    Team &T = Teams[Rank / TeamSize];
+    ht_int TeamRank = (ht_int)Rank % TeamSize;
     CurTeam = &T;
     for (;;) {
-      ht_shim_block_fn Fn;
-      const void *Ctx;
-      ht_int NBlocks;
-      {
-        std::unique_lock<std::mutex> L(M);
-        WorkCv.wait(L, [&] { return Shutdown || Epoch != Seen; });
-        if (Shutdown)
-          return;
-        Seen = Epoch;
-        Fn = JobFn;
-        Ctx = JobCtx;
-        NBlocks = JobBlocks;
-      }
-      for (;;) {
-        if (Rank == 0)
-          T.CurBlock = NextBlock.fetch_add(1, std::memory_order_relaxed);
-        T.barrier();
-        ht_int B = T.CurBlock;
-        if (B >= NBlocks)
-          break;
-        Fn(Ctx, B, Rank, T.Size);
-        T.barrier();
-      }
-      {
-        std::lock_guard<std::mutex> L(M);
-        if (++DoneThreads == TeamCount * TeamSize)
-          DoneCv.notify_one();
-      }
+      if (TeamRank == 0)
+        T.CurBlock = NextBlock.fetch_add(1, std::memory_order_relaxed);
+      T.barrier();
+      ht_int B = T.CurBlock;
+      if (B >= NBlocks)
+        break;
+      Fn(Ctx, B, TeamRank, T.Size);
+      T.barrier();
     }
   }
-
-  /// Runs one synchronous launch: every worker retires blocks until the
-  /// shared counter runs dry, and the launcher returns only after all
-  /// threads checked in (so every kernel write happens-before the return).
-  void run(ht_shim_block_fn Fn, const void *Ctx, ht_int NBlocks,
-           ht_int Threads, bool SingleTeam) {
-    ensure(Threads, SingleTeam);
-    std::unique_lock<std::mutex> L(M);
-    JobFn = Fn;
-    JobCtx = Ctx;
-    JobBlocks = NBlocks;
-    NextBlock.store(0, std::memory_order_relaxed);
-    DoneThreads = 0;
-    ++Epoch;
-    WorkCv.notify_all();
-    DoneCv.wait(L, [&] { return DoneThreads == TeamCount * TeamSize; });
-  }
-};
-
-/// The process's pool and launch mutex, tagged with the pid they belong to.
-/// Never destroyed: the workers stay parked until the process exits.
-struct Runtime {
-  explicit Runtime(pid_t Pid) : Pid(Pid) {}
-  const pid_t Pid;
-  std::mutex LaunchMutex;
-  Pool Workers;
 };
 
 std::atomic<Runtime *> Current{nullptr};
 
 /// This process's runtime, created by its first launch. A child forked
-/// after its parent launched finds the parent's runtime: those workers do
-/// not exist in the child, and the parent's mutexes and condition
-/// variables may still count threads that do not exist either. The child
-/// abandons (leaks) it and starts a fresh one.
+/// after its parent launched finds the parent's runtime: its pool's
+/// workers do not exist in the child, and the parent's mutexes may be held
+/// by threads that do not exist either. The child abandons (leaks) it,
+/// never destroying it -- the pool's destructor would join the missing
+/// workers -- and starts a fresh one.
 Runtime &runtime() {
   pid_t Me = getpid();
   Runtime *R = Current.load(std::memory_order_acquire);
@@ -223,13 +153,18 @@ Runtime &runtime() {
   return *R;
 }
 
+/// One synchronous launch: the launcher plays pool rank 0, and gang()
+/// returns only after every rank did, so every kernel write happens-before
+/// the return.
 void launch(ht_shim_block_fn Fn, const void *Ctx, ht_int NBlocks,
             ht_int Threads, ht_int SingleTeam) {
   if (NBlocks <= 0)
     return;
   Runtime &R = runtime();
   std::lock_guard<std::mutex> L(R.LaunchMutex);
-  R.Workers.run(Fn, Ctx, NBlocks, Threads, SingleTeam != 0);
+  R.ensure(Threads, SingleTeam != 0);
+  R.NextBlock.store(0, std::memory_order_relaxed);
+  R.Pool->gang([&](size_t Rank) { R.play(Rank, Fn, Ctx, NBlocks); });
 }
 
 void barrier() { CurTeam->barrier(); }

@@ -16,12 +16,19 @@
 ///
 /// One pool serves the whole process: launches from any unit and any host
 /// thread serialize on one process-wide mutex, and each launch re-reads
-/// HT_SHIM_THREADS / HT_SHIM_TEAMS (clamped to 1..256) over the launching
-/// unit's baked-in team size, re-shaping the pool when the geometry
-/// changes. A forked child never waits on its parent's workers: the
-/// runtime records the pid that spawned its pool, and a launch in another
-/// process abandons that pool (workers, mutexes and condition variables
-/// alike) and starts a fresh one.
+/// HT_SHIM_THREADS / HT_SHIM_TEAMS (each clamped to 1..256, and the team
+/// count lowered until teams x team size <= 256) over the launching unit's
+/// baked-in team size, replacing the pool when the geometry changes. The
+/// pool is an exec::ThreadPool with one participant per team thread; a
+/// launch is one ThreadPool::gang() call in which the launcher plays rank
+/// 0, and rank r plays rank r % TeamSize of team r / TeamSize, retiring
+/// blocks off one shared counter and meeting its teammates at the team
+/// barrier. That barrier is this runtime's own: gang() guarantees every
+/// rank its own thread, so ranks may wait on each other. A forked child
+/// never waits on its parent's workers: the runtime records the pid that
+/// created it, and a launch in another process abandons that runtime
+/// (pool, workers and mutexes alike, never destroyed) and starts a fresh
+/// one.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -7,7 +7,9 @@
 // exceptions propagate to the caller, oversubscription (more threads than
 // iterations) degenerates cleanly -- and, through the oracle keys, that a
 // deliberately race-y illegal tiling is flagged by the differential check
-// when replayed on real threads.
+// when replayed on real threads. The gang entry the parallel shim's teams
+// run on gets its own cases: its ranks all run at once, each exactly once
+// per call, with the caller as rank 0.
 //
 //===----------------------------------------------------------------------===//
 
@@ -152,6 +154,54 @@ TEST(ThreadPoolTest, SingleThreadPoolRunsInline) {
   size_t Sum = 0; // Plain variable: everything runs on this thread.
   Pool.parallelFor(100, [&](size_t I) { Sum += I; });
   EXPECT_EQ(Sum, 4950u);
+}
+
+TEST(ThreadPoolTest, GangRanksRunTogetherOncePerCall) {
+  // Every rank of a call waits until all four have arrived, as a shim team
+  // waits at its barrier, so the four ranks must hold four threads at once.
+  // An entry that ran ranks on the caller one after another fails here at
+  // the deadline instead of hanging. Each call's counters live on the heap
+  // only for that call, and a rank run twice or never leaves a count other
+  // than 1.
+  ThreadPool Pool(4);
+  const std::thread::id Caller = std::this_thread::get_id();
+  for (int Call = 0; Call < 2000; ++Call) {
+    auto Counts = std::make_unique<std::atomic<int>[]>(4);
+    std::atomic<int> Arrived{0};
+    std::atomic<bool> TimedOut{false}, RankZeroOffCaller{false};
+    auto Deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    Pool.gang([&, C = Counts.get()](size_t Rank) {
+      C[Rank].fetch_add(1, std::memory_order_relaxed);
+      if (Rank == 0 && std::this_thread::get_id() != Caller)
+        RankZeroOffCaller.store(true);
+      Arrived.fetch_add(1);
+      while (Arrived.load() < 4) {
+        if (std::chrono::steady_clock::now() > Deadline) {
+          TimedOut.store(true);
+          return;
+        }
+        std::this_thread::yield();
+      }
+    });
+    ASSERT_FALSE(TimedOut.load()) << "call " << Call
+                                  << ": the four ranks never met";
+    ASSERT_FALSE(RankZeroOffCaller.load()) << "call " << Call;
+    for (size_t Rank = 0; Rank < 4; ++Rank)
+      ASSERT_EQ(Counts[Rank].load(), 1) << "call " << Call << " rank " << Rank;
+  }
+}
+
+TEST(ThreadPoolTest, GangOfOneRunsRankZeroOnTheCaller) {
+  ThreadPool Pool(1);
+  std::vector<size_t> Ranks; // Plain vector: the caller is the only thread.
+  std::thread::id Ran;
+  Pool.gang([&](size_t Rank) {
+    Ranks.push_back(Rank);
+    Ran = std::this_thread::get_id();
+  });
+  EXPECT_EQ(Ranks, std::vector<size_t>{0});
+  EXPECT_EQ(Ran, std::this_thread::get_id());
 }
 
 TEST(ThreadPoolTest, ManySmallTasksReuseTheWorkers) {

@@ -9,7 +9,10 @@
 //    the barrier's acquire/release handshake, so a broken __syncthreads
 //    is a deterministic TSan report, not a flaky value check;
 //  * pool geometry: HT_SHIM_THREADS / HT_SHIM_TEAMS environment overrides
-//    re-shape the worker pool at run time (observed via HT_THREADS);
+//    re-shape the worker pool at run time (observed via HT_THREADS), and
+//    the pool never holds more than 256 threads, nor a worker beside the
+//    launcher when one thread plays the whole grid (counted in a forked
+//    child's /proc/self/task);
 //  * oversubscription: more blocks than worker teams -- every block runs
 //    exactly once off the shared atomic counter;
 //  * bounds traps: HT_AT aborts with the correct buffer name when the
@@ -34,6 +37,7 @@
 #include <dlfcn.h>
 #include <filesystem>
 #include <gtest/gtest.h>
+#include <iterator>
 #include <signal.h>
 #include <string>
 #include <sys/wait.h>
@@ -245,6 +249,39 @@ extern "C" int ht_shim_bind(const void *) { return 1; }
 
 using ProbeFn = long long (*)(long long);
 
+/// Threads of this process, once the count has fallen to \p Max or after
+/// 10 s: a joined thread may stay listed for a moment after its join.
+size_t threadsSettledTo(size_t Max) {
+  auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    size_t N = std::distance(
+        std::filesystem::directory_iterator("/proc/self/task"),
+        std::filesystem::directory_iterator());
+    if (N <= Max || std::chrono::steady_clock::now() > Deadline)
+      return N;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+}
+
+/// Waits (30 s deadline, then SIGKILL) for forked child \p Pid and returns
+/// its exit code, or -1 when it hung or did not exit normally.
+int childExitCode(pid_t Pid) {
+  int Status = 0;
+  auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  pid_t Done = 0;
+  while ((Done = waitpid(Pid, &Status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  if (Done == 0) {
+    kill(Pid, SIGKILL);
+    waitpid(Pid, &Status, 0);
+    return -1;
+  }
+  return Done == Pid && WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
+}
+
 } // namespace
 
 TEST(ShimRuntimeTest, BarrierRendezvousArmsCounterBetweenPhases) {
@@ -403,6 +440,45 @@ TEST(ShimRuntimeTest, ForkedChildLaunchesOnAFreshPool) {
   EXPECT_EQ(WEXITSTATUS(Status), 0);
   // The parent's own pool is untouched by the child's.
   EXPECT_EQ(Probe(6), 2);
+}
+
+TEST(ShimRuntimeTest, PoolHoldsAtMost256ThreadsAndNoneBesideALoneLauncher) {
+  if (!JitUnit::available())
+    GTEST_SKIP() << "no system C++ compiler; shim runtime not exercised";
+  if (HEXTILE_UNDER_TSAN)
+    GTEST_SKIP() << "fork-based test; TSan runtime does not support "
+                    "fork-and-continue";
+  JitUnit Unit;
+  ASSERT_EQ(Unit.build(ProbeSource), "");
+  auto Bump = reinterpret_cast<ProbeFn>(Unit.symbol("bump_run"));
+  ASSERT_NE(Bump, nullptr);
+
+  // The child starts with one thread, so /proc/self/task counts the pool
+  // and the launcher alone. Each failed check sets one bit of its exit code.
+  pid_t Pid = fork();
+  ASSERT_GE(Pid, 0);
+  if (Pid == 0) {
+    int Bad = 0;
+    // 40 teams of 8 would be 320 threads: teams are dropped to fit 256.
+    setenv("HT_SHIM_TEAMS", "40", 1);
+    setenv("HT_SHIM_THREADS", "8", 1);
+    Bad |= Bump(100) != 0 ? 1 : 0;
+    Bad |= threadsSettledTo(256) > 256 ? 2 : 0;
+    // One team of one thread: the launcher plays it, and the 40 x 8 pool's
+    // workers are gone.
+    setenv("HT_SHIM_TEAMS", "1", 1);
+    setenv("HT_SHIM_THREADS", "1", 1);
+    Bad |= Bump(100) != 0 ? 4 : 0;
+    Bad |= threadsSettledTo(1) != 1 ? 8 : 0;
+    _exit(Bad);
+  }
+  int Code = childExitCode(Pid);
+  ASSERT_NE(Code, -1) << "forked child hung or crashed";
+  EXPECT_EQ(Code & 1, 0) << "a block of the capped launch ran not once";
+  EXPECT_EQ(Code & 2, 0) << "the 40 x 8 pool holds more than 256 threads";
+  EXPECT_EQ(Code & 4, 0) << "a block of the 1 x 1 launch ran not once";
+  EXPECT_EQ(Code & 8, 0) << "a 1 x 1 launch left a worker beside the "
+                            "launcher";
 }
 
 TEST(ShimRuntimeDeathTest, UnboundUnitTrapsAtFirstLaunch) {
