@@ -1,9 +1,9 @@
 //===- bench_ablation_unroll.cpp - Unrolling / register-tiling ablation ---------===//
 //
-// Ablates the two register-level optimizations: the Sec. 4.3.2 unrolling
-// with sliding-window register reuse (Fig. 2), and the paper's future-work
-// register tiling along s1. Reports shared loads per point and the
-// simulated GTX 470 performance of the heat 3D configuration for each.
+// Ablates the two register-level optimizations by their shared loads per
+// point: the Sec. 4.3.2 unrolling with sliding-window register reuse
+// (Fig. 2), which every Table 4 rung assumes, and the paper's future-work
+// register tiling along s1, which no rung renders or prices.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,34 +34,6 @@ int main(int argc, char **argv) {
     unsigned K = P.numStmts();
     std::printf("%-14s %7.1f %9.2f %7.2f %7.2f %7.2f\n", P.name().c_str(),
                 Naive / K, RT1 / K, RT2 / K, RT4 / K, RT8 / K);
-  }
-
-  std::printf("\nheat 3D (h=2, w0=7, w1=10, w2=32) on GTX 470, config (f):"
-              "\n%-26s %10s\n", "variant", "GFLOPS");
-  ir::StencilProgram P =
-      Smoke ? ir::makeHeat3D(64, 16) : ir::makeHeat3D(384, 128);
-  TileSizeRequest Sizes;
-  Sizes.H = 2;
-  Sizes.W0 = 7;
-  Sizes.InnerWidths = {10, 32};
-  gpu::DeviceConfig Dev = gpu::DeviceConfig::gtx470();
-
-  OptimizationConfig NoUnroll = OptimizationConfig::level('f');
-  NoUnroll.UnrollCore = false;
-  OptimizationConfig Unroll = OptimizationConfig::level('f');
-  struct Variant {
-    const char *Name;
-    OptimizationConfig Config;
-  };
-  OptimizationConfig RT2 = Unroll, RT4 = Unroll;
-  RT2.RegisterTile = 2;
-  RT4.RegisterTile = 4;
-  for (const Variant &V :
-       {Variant{"no unrolling", NoUnroll}, Variant{"unrolled (paper)", Unroll},
-        Variant{"+ register tile 2", RT2}, Variant{"+ register tile 4", RT4}}) {
-    CompiledHybrid C = compileHybrid(P, Sizes, V.Config);
-    gpu::PerfResult R = gpu::simulate(Dev, C.kernelModels(Dev));
-    std::printf("%-26s %10.1f\n", V.Name, R.GFlops);
   }
   std::printf("\n(register tiling attacks the shared-memory bound the"
               " paper identifies as the final bottleneck of Sec. 6.2)\n");

@@ -36,7 +36,7 @@ int main(int argc, char **argv) {
     CompiledHybrid C = compileHybrid(P, Sizes, OptimizationConfig::level(L));
     gpu::PerfCounters K = gpu::simulate(Dev, C.kernelModels(Dev)).Counters;
     char Shld[16] = "n/a";
-    if (C.config().UseSharedMemory)
+    if (C.config().useSharedMemory())
       std::snprintf(Shld, sizeof(Shld), "%.1f", K.SharedLoadsPerRequest);
     std::printf("(%c)   %14.1f %14.2f %14.2f %16s %9.0f%%\n", L,
                 K.GldInst32bit / 1e9, K.DramReadTransactions / 1e9,

@@ -18,13 +18,12 @@
 /// target, so the text is executable CUDA: the same semantics the host
 /// rendering proves bit-exact against the naive executor, ready for nvcc
 /// on a CUDA machine. The Sec. 4.2 shared-memory ladder is emitted as
-/// real code from the compile's OptimizationConfig: __shared__ staging
-/// windows with a cooperative load phase and __syncthreads() barriers,
-/// separate or interleaved copy-out (Sec. 4.2.1), 128-byte-aligned window
-/// bases (Sec. 4.2.3), and -- behind OptimizationConfig::EmitStaticReuse
-/// -- the static placement scheme of Sec. 4.2.2. Each rung is semantically
-/// the identity; the host rendering of the same plan is what the oracle
-/// executes to prove that.
+/// real code from the compile's rung: __shared__ staging windows with a
+/// cooperative load phase and __syncthreads() barriers (b), interleaved
+/// copy-out (c, Sec. 4.2.1), 128-byte-aligned window bases (d, Sec.
+/// 4.2.3) and the static placement scheme (e, Sec. 4.2.2); rung (f)
+/// renders as (d). Each rung is semantically the identity; the host
+/// rendering of the same plan is what the oracle executes to prove that.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -175,14 +175,13 @@ void buildStagingPlan(EmissionPlan &Plan, const OptimizationConfig &Cfg) {
   // offsets, so the static mod-mapping and the alignment translation
   // would have to be replicated there for no benefit.
   bool Overlapped = Plan.Schedule == EmitSchedule::Overlapped;
-  St.Enabled = Overlapped || Cfg.UseSharedMemory;
+  St.Enabled = Overlapped || Cfg.useSharedMemory();
   if (!St.Enabled)
     return;
   if (!Overlapped) {
-    St.Interleaved = Cfg.InterleaveCopyOut;
-    St.StaticPlacement =
-        Cfg.Reuse == ReuseKind::Static && Cfg.EmitStaticReuse;
-    St.AlignQuantum = Cfg.AlignLoads ? 32 : 1;
+    St.Interleaved = Cfg.interleaveCopyOut();
+    St.StaticPlacement = Cfg.reuse() == ReuseKind::Static;
+    St.AlignQuantum = Cfg.alignLoads() ? 32 : 1;
   }
   const ir::StencilProgram &P = *Plan.Program;
   unsigned Base = Plan.innerBaseDim();
@@ -413,10 +412,6 @@ std::string stagedIndexExpr(const EmissionPlan &Plan, unsigned F,
                 hornerIndex(stagedCoords(Plan, Offsets), Plan.Staging.Ext));
 }
 
-/// What one pass of the guarded statement dispatch does: compute the
-/// update, or (separate copy-out) move the staged result back to global.
-enum class StmtAction { Compute, CopyOut };
-
 } // namespace
 
 std::vector<SweptStmt> codegen::sweptStmts(const EmissionPlan &Plan,
@@ -446,28 +441,31 @@ std::vector<SweptStmt> codegen::sweptStmts(const EmissionPlan &Plan,
                            : Plan.fieldTotalElems(F),
                     A.PointIdx};
       int64_t Slot = euclidMod(TimeOffset, Plan.Depth[F]);
-      if (Staged && Staging.StaticPlacement) {
-        // Cells wrap mod Ext within the window row: no fixed displacement,
-        // so the access checks its whole row on its own.
+      // Cells wrap mod Ext within the window row: no fixed displacement,
+      // so the accesses sharing a row (its slot and outer offsets) check
+      // the whole row once.
+      bool Wraps = Staged && Staging.StaticPlacement;
+      if (Wraps) {
         std::vector<std::string> Coords = stagedCoords(Plan, Off);
         Coords[In] = "0";
         G.Base = inSlot(Plan, F, Step, Staging.WindowPoints,
                         hornerIndex(Coords, Staging.Ext));
         G.Wrap = Staging.Ext[In];
-        A.Group = S.Groups.size();
         A.WrapCoord = offsetCoord(In, Off[In]);
-      } else {
-        for (A.Group = 0; A.Group < S.Groups.size(); ++A.Group)
-          if (!S.Groups[A.Group].Wrap &&
-              S.Groups[A.Group].Buffer == G.Buffer && Slots[A.Group] == Slot)
-            break;
       }
+      for (A.Group = 0; A.Group < S.Groups.size(); ++A.Group)
+        if (S.Groups[A.Group].Buffer == G.Buffer && Slots[A.Group] == Slot &&
+            (!Wraps || std::equal(Off.begin(), Off.begin() + In,
+                                  First[A.Group].begin())))
+          break;
       if (A.Group == S.Groups.size()) {
         S.Groups.push_back(G);
         Slots.push_back(Slot);
         First.push_back(Off);
         return A;
       }
+      if (Wraps)
+        return A;
       const std::vector<int64_t> &Ext = Staged ? Staging.Ext : Plan.Sizes;
       for (unsigned Dim = 0; Dim < Plan.Rank; ++Dim)
         A.Disp = A.Disp * Ext[Dim] + Off[Dim] - First[A.Group][Dim];
@@ -762,12 +760,20 @@ int64_t innerWidthProduct(const EmissionPlan &Plan, unsigned EndDim) {
   return N;
 }
 
-/// The compute sweep (or separate copy-out) of one barrier region whose
-/// dimension 0 is \p D0, the inner skews indexed by the local time \p UVar.
-/// The row form's innermost run is one inner tile's width (dimension 0's
-/// span at rank 1), clipped to the domain.
+/// The statements of a unit's sweeps, evaluated once per unit: the compute
+/// pass and the separate copy-out's replay of it (empty when the plan has
+/// none).
+struct UnitStmts {
+  std::vector<SweptStmt> Compute, CopyOut;
+};
+
+/// The sweep over \p Stmts (the compute pass or the separate copy-out) of
+/// one barrier region whose dimension 0 is \p D0, the inner skews indexed
+/// by the local time \p UVar. The row form's innermost run is one inner
+/// tile's width (dimension 0's span at rank 1), clipped to the domain.
 ComputeSweep regionSweep(const EmissionPlan &Plan, const RegionDim0 &D0,
-                         const std::string &UVar, StmtAction Action) {
+                         const std::string &UVar,
+                         const std::vector<SweptStmt> &Stmts) {
   unsigned In = Plan.Rank - 1;
   ComputeSweep S;
   S.PointCount = D0.times(innerWidthProduct(Plan, Plan.Rank));
@@ -792,22 +798,23 @@ ComputeSweep regionSweep(const EmissionPlan &Plan, const RegionDim0 &D0,
   if (In > 0)
     S.RowBind = bindCoords(Plan, In, "ht_row", D0, UVar);
   S.OuterGuard = domainGuard(Plan, In);
-  S.Stmts = sweptStmts(Plan, Action == StmtAction::CopyOut);
+  S.Stmts = Stmts;
   return S;
 }
 
 /// The hexagonal local time loop over a: one pass either computes the
-/// tile (Compute) or replays the same guarded enumeration moving staged
-/// results back to global memory (the separate copy-out).
+/// tile (the compute \p Stmts) or replays the same guarded enumeration
+/// moving staged results back to global memory (the copy-out \p Stmts).
 void emitHexTimeLoop(Source &Out, const EmissionPlan &Plan,
-                     const EmitTargetHooks &Hooks, StmtAction Action) {
+                     const EmitTargetHooks &Hooks,
+                     const std::vector<SweptStmt> &Stmts) {
   Out.open("for (ht_int a = 0; a < " + i64(Plan.Period) + "; ++a)");
   Out.line("const ht_int t = t0 + a;");
   Out.line("const ht_int ht_nb = ht_row_hi[a] - ht_row_lo[a] + 1;");
   Out.open("if (t >= 0 && t < " + i64(Plan.TimeExtent) + " && ht_nb > 0)");
   Hooks.sweep(Out, Plan,
               regionSweep(Plan, {"s0_0 + ht_row_lo[a]", "", "ht_nb"}, "a",
-                          Action));
+                          Stmts));
   Out.close(); // Row guard.
   Hooks.barrier(Out);
   Out.close(); // a loop.
@@ -819,25 +826,26 @@ void emitHexTimeLoop(Source &Out, const EmissionPlan &Plan,
 /// loop (emitHexTimeLoop / emitClassicalTimeLoop).
 void emitTilePasses(
     Source &Out, const EmissionPlan &Plan, const EmitTargetHooks &Hooks,
+    const UnitStmts &Stmts,
     const std::function<void(Source &, const EmissionPlan &,
-                             const EmitTargetHooks &, StmtAction)>
-        &TimeLoop) {
+                             const EmitTargetHooks &,
+                             const std::vector<SweptStmt> &)> &TimeLoop) {
   if (Plan.Staging.Enabled) {
     emitStageBases(Out, Plan);
     emitStageLoads(Out, Plan, Hooks);
   }
-  TimeLoop(Out, Plan, Hooks, StmtAction::Compute);
+  TimeLoop(Out, Plan, Hooks, Stmts.Compute);
   if (Plan.Staging.Enabled && !Plan.Staging.Interleaved) {
     Out.line("// Separate copy-out: staged results -> global "
              "(interleaving off).");
-    TimeLoop(Out, Plan, Hooks, StmtAction::CopyOut);
+    TimeLoop(Out, Plan, Hooks, Stmts.CopyOut);
   }
 }
 
 /// The classical local time loop over u; see emitHexTimeLoop.
 void emitClassicalTimeLoop(Source &Out, const EmissionPlan &Plan,
                            const EmitTargetHooks &Hooks,
-                           StmtAction Action) {
+                           const std::vector<SweptStmt> &Stmts) {
   Out.open("for (ht_int u = 0; u < " + i64(Plan.Period) + "; ++u)");
   Out.line("const ht_int t = TB * " + i64(Plan.Period) + " + u;");
   Out.open("if (t < " + i64(Plan.TimeExtent) + ")");
@@ -846,7 +854,7 @@ void emitClassicalTimeLoop(Source &Out, const EmissionPlan &Plan,
               regionSweep(Plan,
                           {"S0 * " + i64(I0.Width), skewTerm(Plan, 0, "u"),
                            "", I0.Width},
-                          "u", Action));
+                          "u", Stmts));
   Out.close(); // Time guard.
   Hooks.barrier(Out);
   Out.close(); // u loop.
@@ -883,7 +891,8 @@ void emitOverlappedStagePointers(Source &Out, const EmissionPlan &Plan,
 /// margins. No global write happens here -- tiles are fully independent
 /// until the ocopy launch.
 void emitOverlappedBody(Source &Out, const EmissionPlan &Plan,
-                        const EmitTargetHooks &Hooks) {
+                        const EmitTargetHooks &Hooks,
+                        const std::vector<SweptStmt> &Stmts) {
   const OverlappedPlan &Ov = Plan.Over;
   emitStageBases(Out, Plan);
   emitStageLoads(Out, Plan, Hooks);
@@ -904,7 +913,7 @@ void emitOverlappedBody(Source &Out, const EmissionPlan &Plan,
   Out.open("if (ht_chi > ht_clo)");
   Hooks.sweep(Out, Plan,
               regionSweep(Plan, {"ht_clo", "", "(ht_chi - ht_clo)"}, "ht_v",
-                          StmtAction::Compute));
+                          Stmts));
   Out.close(); // Nonempty trapezoid guard.
   Out.close(); // Time guard.
   Hooks.barrier(Out);
@@ -968,7 +977,7 @@ void emitOverlappedCopyBody(Source &Out, const EmissionPlan &Plan,
 /// selects the band kernel (0, "oband") or the core copy-out kernel (1,
 /// "ocopy").
 void emitKernelBody(Source &Out, const EmissionPlan &Plan, int Phase,
-                    const EmitTargetHooks &Hooks) {
+                    const EmitTargetHooks &Hooks, const UnitStmts &Stmts) {
   bool Overlapped = Plan.Schedule == EmitSchedule::Overlapped;
   if (Overlapped) {
     // Overlapped windows are per-tile slices of the file-scope scratch
@@ -999,11 +1008,11 @@ void emitKernelBody(Source &Out, const EmissionPlan &Plan, int Phase,
   }
   unsigned TileScopes = emitTileLoops(Out, Plan);
   if (Overlapped && Phase == 0)
-    emitOverlappedBody(Out, Plan, Hooks);
+    emitOverlappedBody(Out, Plan, Hooks, Stmts.Compute);
   else if (Overlapped)
     emitOverlappedCopyBody(Out, Plan, Hooks);
   else
-    emitTilePasses(Out, Plan, Hooks,
+    emitTilePasses(Out, Plan, Hooks, Stmts,
                    Plan.TwoPhase ? emitHexTimeLoop : emitClassicalTimeLoop);
   for (unsigned I = 0; I < TileScopes; ++I)
     Out.close();
@@ -1066,7 +1075,7 @@ std::vector<KernelSpec> flavorKernels(const EmissionPlan &Plan) {
 /// Emits kernel \p K: the flavor's tail parameters, its S0 binding and
 /// the body.
 void emitKernel(Source &Out, const EmissionPlan &Plan, const KernelSpec &K,
-                const EmitTargetHooks &Hooks) {
+                const EmitTargetHooks &Hooks, const UnitStmts &Stmts) {
   std::string Tail = Plan.TwoPhase ? "ht_int TT, ht_int S0lo" : "ht_int TB";
   Hooks.openKernel(Out, K.Name, Plan.fieldParams() + ", " + Tail);
   if (Plan.TwoPhase)
@@ -1076,7 +1085,7 @@ void emitKernel(Source &Out, const EmissionPlan &Plan, const KernelSpec &K,
              "; // This block's core tile.");
   else
     Out.line(Hooks.SingleBlockLine);
-  emitKernelBody(Out, Plan, K.Phase, Hooks);
+  emitKernelBody(Out, Plan, K.Phase, Hooks, Stmts);
   Out.close();
 }
 
@@ -1156,11 +1165,15 @@ void codegen::emitUnit(Source &Out, const EmissionPlan &Plan,
                i64(Plan.Over.NumTiles * Plan.stageTotalElems(F)) + "];");
   }
   Out.blank();
+  UnitStmts Stmts{sweptStmts(Plan, /*CopyOut=*/false), {}};
+  if (Plan.Schedule != EmitSchedule::Overlapped && Plan.Staging.Enabled &&
+      !Plan.Staging.Interleaved)
+    Stmts.CopyOut = sweptStmts(Plan, /*CopyOut=*/true);
   std::vector<KernelSpec> Kernels = flavorKernels(Plan);
   for (size_t K = 0; K < Kernels.size(); ++K) {
     if (K)
       Out.blank();
-    emitKernel(Out, Plan, Kernels[K], Hooks);
+    emitKernel(Out, Plan, Kernels[K], Hooks, Stmts);
   }
   Out.blank();
   Out.open(Hooks.DriverQualifier + " " + Plan.Program->name() + "_host(" +

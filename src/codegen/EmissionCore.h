@@ -29,10 +29,11 @@
 ///    and the core emits identical *semantics* for every target: the same
 ///    kernel set, loops, guards, statement dispatch, point set and
 ///    arithmetic, bit-exact with exec::executeInstance. When the compile's
-///    OptimizationConfig asks for shared-memory staging (Sec. 4.2), the
+///    ladder rung stages through shared memory (Sec. 4.2, rungs b-f), the
 ///    body additionally renders the cooperative load phase, the barriers
 ///    and the separate or interleaved copy-out over a per-tile StagingPlan
-///    window.
+///    window, with rung (d)'s aligned bases and rung (e)'s static
+///    placement; rung (f) renders as (d).
 ///
 ///  * Rendering utilities -- the indented Source builder, exact float
 ///    literal formatting (hex-floats, so emitted constants round-trip
@@ -46,6 +47,7 @@
 #include "codegen/HybridCompiler.h"
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -134,9 +136,9 @@ std::string portableHelperFunctions(const std::string &Qualifier);
 /// runtime value (per tile). Every mode is semantically the identity,
 /// which the oracle's fourth mechanism proves by execution.
 struct StagingPlan {
-  bool Enabled = false;         ///< Config.UseSharedMemory.
+  bool Enabled = false;         ///< Rungs (b)-(f), and every Overlapped unit.
   bool Interleaved = false;     ///< Sec. 4.2.1 interleaved copy-out.
-  /// Sec. 4.2.2 static placement (gated by Config.EmitStaticReuse):
+  /// Sec. 4.2.2 static placement (rung (e)):
   /// element s of a window dimension lives at staging slot
   /// s mod Ext[dim] -- a fixed global->shared mapping, bijective inside
   /// one window since Ext consecutive values are distinct mod Ext.
@@ -299,11 +301,12 @@ struct SweptAccess {
   std::string WrapCoord;
 };
 
-/// The accesses of one statement that share a buffer and a rotating slot.
-/// Each one's run of n cells is its group's base plus a compile-time
-/// displacement, so together they touch no cell outside the span
-/// [Base + Lo, Base + Hi + n). The buffer is one contiguous [0, Total),
-/// so the span escapes it exactly when some access's run does.
+/// The accesses of one statement that share a buffer and a rotating slot
+/// (and, under static placement, a window row). Each one's run of n cells
+/// is its group's base plus a compile-time displacement, so together they
+/// touch no cell outside the span [Base + Lo, Base + Hi + n). The buffer
+/// is one contiguous [0, Total), so the span escapes it exactly when some
+/// access's run does.
 struct AccessGroup {
   std::string Buffer;    ///< "g_<field>" or "ht_s_<field>".
   int64_t Total = 0;     ///< Elements of the buffer.
@@ -312,7 +315,8 @@ struct AccessGroup {
   std::string Base;
   int64_t Lo = 0, Hi = 0; ///< Lowest and highest displacement.
   /// Static placement: the innermost window extent. The group then holds
-  /// one staged access, whose cells wrap within [Base, Base + Wrap).
+  /// the staged accesses of one window row (one rotating slot, equal outer
+  /// offsets), whose cells each wrap within [Base, Base + Wrap).
   int64_t Wrap = 0;
 };
 
@@ -353,7 +357,9 @@ struct ComputeSweep {
   std::string RowCount;
   std::vector<std::string> RowBind;
   std::string OuterGuard;
-  std::vector<SweptStmt> Stmts;     ///< Indexed by t mod NumStmts.
+  /// The unit's statements, evaluated once per unit (sweptStmts); indexed
+  /// by t mod NumStmts.
+  std::span<const SweptStmt> Stmts;
 };
 
 /// Emits the statement dispatch of \p Sweep on the canonical time t (the

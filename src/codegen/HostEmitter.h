@@ -61,8 +61,9 @@ constexpr long long HostShimAbi = HEXTILE_HOST_SHIM_ABI;
 /// every host-target key, so an artifact store never serves a unit emitted
 /// in an older format for an unchanged request. Bump when `emitHost`'s
 /// text for an unchanged request changes. 2: compute sweeps run one
-/// logical thread per outer row.
-constexpr long long HostUnitFormat = 2;
+/// logical thread per outer row. 3: rung (e) checks each staged window
+/// row once.
+constexpr long long HostUnitFormat = 3;
 
 /// Name of the emitted `extern "C"` entry point: "<program name>_run",
 /// with signature `void(float **fields)` (one rotating-buffer array per

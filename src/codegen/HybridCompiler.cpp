@@ -5,6 +5,7 @@
 #include "deps/DeltaBounds.h"
 
 #include <cassert>
+#include <cctype>
 #include <map>
 #include <stdexcept>
 
@@ -12,19 +13,12 @@ using namespace hextile;
 using namespace hextile::codegen;
 
 std::string OptimizationConfig::str() const {
-  if (!UseSharedMemory) {
-    std::string S = "global-memory only";
-    if (ShimThreads > 0)
-      S += " + parallel shim (" + std::to_string(ShimThreads) +
-           " threads/block)";
-    return S;
-  }
-  std::string S = "shared memory";
-  if (InterleaveCopyOut)
+  std::string S = useSharedMemory() ? "shared memory" : "global-memory only";
+  if (interleaveCopyOut())
     S += " + interleaved copy-out";
-  if (AlignLoads)
+  if (alignLoads())
     S += " + aligned loads";
-  switch (Reuse) {
+  switch (reuse()) {
   case ReuseKind::None:
     break;
   case ReuseKind::Static:
@@ -67,7 +61,7 @@ CompiledHybrid::kernelModels(const gpu::DeviceConfig &Dev) const {
   K.ThreadsPerBlock = threadsPerBlock();
   K.UpdatesPerSlab = Costs.Instances;
   K.FlopsPerSlab = Costs.Flops;
-  K.OverlapCopyOut = Config.InterleaveCopyOut;
+  K.OverlapCopyOut = Config.interleaveCopyOut();
 
   unsigned Rank = Prog.spaceRank();
   auto RowsToBatches = [&](const std::vector<core::TransferRow> &Rows,
@@ -88,7 +82,7 @@ CompiledHybrid::kernelModels(const gpu::DeviceConfig &Dev) const {
     return Batches;
   };
 
-  if (!Config.UseSharedMemory) {
+  if (!Config.useSharedMemory()) {
     // Configuration (a): every read is a global load issued per point.
     // Warp-level requests: one row of WarpSize elements per read per warp,
     // offset by the read's innermost-dimension offset.
@@ -120,32 +114,21 @@ CompiledHybrid::kernelModels(const gpu::DeviceConfig &Dev) const {
   // (Sec. 4.2); with reuse only the values absent from the predecessor
   // slab move.
   K.SharedBytesPerBlock = Costs.SharedBytes;
-  bool UseReuse = Config.Reuse != ReuseKind::None;
+  ReuseKind Reuse = Config.reuse();
   const std::vector<core::TransferRow> &Rows =
-      UseReuse ? Costs.LoadRowsReuse : Costs.LoadRowsBox;
-  K.LoadRequestRows = RowsToBatches(Rows, Config.AlignLoads);
-  K.StoreRows = RowsToBatches(Costs.StoreRows, Config.AlignLoads);
-  K.SharedLoadsPerSlab =
-      Config.UnrollCore ? Costs.SharedLoadsUnrolled : Costs.SharedLoads;
-  if (Config.RegisterTile > 1 && Prog.spaceRank() >= 2) {
-    // Register tiling along s1 (future-work extension): recompute the
-    // per-point load count with loads shared across the register tile.
-    double PerPoint = 0;
-    for (unsigned S = 0; S < Prog.numStmts(); ++S)
-      PerPoint += sharedLoadsPerPointRegisterTiled(Prog, S,
-                                                   Config.RegisterTile);
-    PerPoint /= Prog.numStmts();
-    K.SharedLoadsPerSlab =
-        static_cast<int64_t>(PerPoint * Costs.Instances);
-  }
+      Reuse != ReuseKind::None ? Costs.LoadRowsReuse : Costs.LoadRowsBox;
+  K.LoadRequestRows = RowsToBatches(Rows, Config.alignLoads());
+  K.StoreRows = RowsToBatches(Costs.StoreRows, Config.alignLoads());
+  // The Sec. 4.3.2 sliding window, which every Table 4 rung unrolls.
+  K.SharedLoadsPerSlab = Costs.SharedLoadsUnrolled;
   K.SharedStoresPerSlab = Costs.SharedStores;
-  if (Config.Reuse == ReuseKind::Dynamic) {
+  if (Reuse == ReuseKind::Dynamic) {
     // The explicit shared->shared move of reused values (Sec. 4.2.2).
     int64_t Moved = Costs.LoadValues - Costs.LoadValuesReuse;
     K.SharedLoadsPerSlab += Moved;
     K.SharedStoresPerSlab += Moved;
   }
-  if (Config.Reuse == ReuseKind::Static) {
+  if (Reuse == ReuseKind::Static) {
     // The static global->shared mapping wraps rows at the global extent, so
     // warp accesses straddle bank groups: two-way conflicts on the rotated
     // rows (Table 5 measures 1.8 transactions per request).
@@ -169,14 +152,14 @@ CompiledHybrid::scheduleKey(uint64_t BlockPermSeed) const {
 }
 
 double codegen::sharedLoadsPerPointRegisterTiled(
-    const ir::StencilProgram &P, unsigned StmtIdx, int64_t RegisterTile) {
+    const ir::StencilProgram &P, unsigned StmtIdx, int64_t TileWidth) {
   assert(StmtIdx < P.numStmts() && "statement index out of range");
-  assert(RegisterTile >= 1 && "register tile must be positive");
+  assert(TileWidth >= 1 && "register tile must be positive");
   const ir::StencilStmt &S = P.stmts()[StmtIdx];
   unsigned Rank = P.spaceRank();
   // Group reads by everything except the s0 offset (served by the sliding
   // window) and the s1 offset (shared across the register tile); per
-  // group, RegisterTile points need (s1 span + RegisterTile - 1) values.
+  // group, TileWidth points need (s1 span + TileWidth - 1) values.
   std::map<std::vector<int64_t>, std::pair<int64_t, int64_t>> Groups;
   for (const ir::ReadAccess &R : S.Reads) {
     std::vector<int64_t> Key;
@@ -195,8 +178,8 @@ double codegen::sharedLoadsPerPointRegisterTiled(
   }
   double Loads = 0;
   for (const auto &[Key, Span] : Groups)
-    Loads += static_cast<double>(Span.second - Span.first + RegisterTile) /
-             RegisterTile;
+    Loads += static_cast<double>(Span.second - Span.first + TileWidth) /
+             TileWidth;
   return Loads;
 }
 
@@ -214,6 +197,14 @@ CompiledHybrid codegen::compileHybrid(const ir::StencilProgram &P,
                                       const OptimizationConfig &Config) {
   // A request reaches here from outside (a compile-service client), so
   // reject what the analyses and schedule constructors would assert on.
+  if (!Config.validRung()) {
+    unsigned char R = static_cast<unsigned char>(Config.Rung);
+    throw std::invalid_argument(
+        "optimization rung " +
+        (std::isprint(R) ? "'" + std::string(1, Config.Rung) + "'"
+                         : "code " + std::to_string(R)) +
+        " is not one of 'a'..'f'");
+  }
   if (std::string Bad = P.verify(); !Bad.empty())
     throw std::invalid_argument("invalid program " + P.name() + ": " + Bad);
   size_t InnerDims = P.spaceRank() - 1;

@@ -83,7 +83,8 @@ private:
 
 /// Compiles \p P with the given tile-size request and optimization config.
 /// Throws std::invalid_argument, naming the bad value, for a request no
-/// schedule can be built from: a program that fails verify(), inner
+/// schedule can be built from: a rung outside 'a'..'f', a program that
+/// fails verify(), inner
 /// widths of the wrong count or below 1, constraints no tile size
 /// satisfies, or H/W0 violating the hexagon's width bound.
 CompiledHybrid compileHybrid(const ir::StencilProgram &P,
@@ -110,12 +111,13 @@ CompiledHybrid compileHybridTuned(const ir::StencilProgram &P,
                                   const TunedSizes &T);
 
 /// Shared-memory loads per point of statement \p StmtIdx when each thread
-/// register-tiles \p RegisterTile consecutive s1 points (Sec. 6.2's
-/// future-work extension). RegisterTile = 1 gives the Sec. 4.3.2
-/// sliding-window count (e.g. 9 for heat 3D, 3 for Jacobi 2D).
+/// register-tiles \p TileWidth consecutive s1 points (Sec. 6.2's
+/// future-work extension). TileWidth = 1 gives the Sec. 4.3.2
+/// sliding-window count (e.g. 9 for heat 3D, 3 for Jacobi 2D). An
+/// analysis only: no ladder rung renders or prices register tiling.
 double sharedLoadsPerPointRegisterTiled(const ir::StencilProgram &P,
                                         unsigned StmtIdx,
-                                        int64_t RegisterTile);
+                                        int64_t TileWidth);
 
 } // namespace codegen
 } // namespace hextile

@@ -5,19 +5,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The shared-memory optimization ladder evaluated in Table 4:
+/// The shared-memory optimization ladder evaluated in Table 4, one rung
+/// per letter:
 ///   (a) no shared memory          (b) shared memory, separate copy-out
 ///   (c) (b) + interleaved copy-out (Sec. 4.2.1)
 ///   (d) (c) + aligned loads        (Sec. 4.2.3)
 ///   (e) (d) + static inter-tile value reuse   (Sec. 4.2.2)
 ///   (f) (d) + dynamic inter-tile value reuse  (Sec. 4.2.2)
 ///
+/// Every rung is rendered as code except (f)'s shared->shared move, which
+/// only the cost model prices: (f) emits (d)'s kernels. The model prices
+/// the Sec. 4.3.2 sliding-window register reuse for every staged rung.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HEXTILE_CODEGEN_OPTIMIZATIONCONFIG_H
 #define HEXTILE_CODEGEN_OPTIMIZATIONCONFIG_H
 
-#include <cassert>
 #include <string>
 
 namespace hextile {
@@ -30,30 +34,18 @@ enum class ReuseKind {
   Dynamic, ///< Per-tile placement with an explicit shared->shared move.
 };
 
-/// One configuration of the code generator: which rungs of the Table 4
-/// shared-memory ladder the compiled kernels assume. The launch/cost
-/// models price the strategy, and the executable emission (EmissionCore
-/// targets) renders it as real code: a cooperative load phase into a
-/// tile-local staging buffer, compute against staged values, and either a
-/// separate or an interleaved copy-out -- every rung semantically the
-/// identity, which the oracle's fourth mechanism proves by execution.
+/// One configuration of the code generator: the rung of the Table 4
+/// shared-memory ladder the compiled kernels assume, and the host shim's
+/// team width. The launch/cost models price the rung, and the executable
+/// emission (EmissionCore targets) renders it as real code: a cooperative
+/// load phase into a tile-local staging buffer, compute against staged
+/// values, and either a separate or an interleaved copy-out -- every rung
+/// semantically the identity, which the oracle's fourth mechanism proves
+/// by execution.
 struct OptimizationConfig {
-  /// Stage tile inputs in shared memory (configs (b)-(f)); off = (a).
-  bool UseSharedMemory = true;
-  /// Issue copy-out stores interleaved with compute (Sec. 4.2.1).
-  bool InterleaveCopyOut = true;
-  /// Translate tiles so row loads hit 128B boundaries (Sec. 4.2.3).
-  bool AlignLoads = true;
-  /// Inter-tile value-reuse strategy (Sec. 4.2.2).
-  ReuseKind Reuse = ReuseKind::Dynamic;
-  /// Unroll the point loops and exploit register sliding-window reuse
-  /// (Sec. 4.3.2); on for every Table 4 configuration.
-  bool UnrollCore = true;
-  /// Register tiling along s1: each thread computes this many consecutive
-  /// s1 points, sharing shared-memory loads between them. The paper's
-  /// concluding future-work item ("further reducing the number of shared
-  /// memory loads through register tiling"); 1 disables it.
-  int64_t RegisterTile = 1;
+  /// The ladder rung, 'a'..'f' (see the file comment). compileHybrid
+  /// rejects any other letter.
+  char Rung = 'f';
   /// Host-shim execution model for the emitted unit: 0 renders a serial
   /// unit (cuda_shim.h runs the block loop and thread loop sequentially);
   /// N > 0 renders a parallel unit -- the shim dispatches blocks across
@@ -66,44 +58,28 @@ struct OptimizationConfig {
   /// recompile. Serial and parallel units hash to distinct CompileKeys.
   /// Ignored by the CUDA emitter (CUDA is parallel by construction).
   int ShimThreads = 0;
-  /// Stretch gate for the *executable* rendering of ReuseKind::Static:
-  /// when set (and Reuse == Static), the emitted staging buffers use the
-  /// Sec. 4.2.2 fixed global->shared placement (element (s) lives at slot
-  /// s mod windowExtent, independent of the tile origin) instead of the
-  /// per-tile window-relative placement. Off by default: the cost model
-  /// always prices Reuse, but the emission only renders the static
-  /// addressing scheme when explicitly asked.
-  bool EmitStaticReuse = false;
 
   /// The ladder of Table 4 by letter 'a'..'f'.
   static OptimizationConfig level(char Level) {
     OptimizationConfig C;
-    C.Reuse = ReuseKind::None;
-    switch (Level) {
-    case 'a':
-      C.UseSharedMemory = false;
-      C.InterleaveCopyOut = false;
-      C.AlignLoads = false;
-      return C;
-    case 'b':
-      C.InterleaveCopyOut = false;
-      C.AlignLoads = false;
-      return C;
-    case 'c':
-      C.AlignLoads = false;
-      return C;
-    case 'd':
-      return C;
-    case 'e':
-      C.Reuse = ReuseKind::Static;
-      return C;
-    case 'f':
-      C.Reuse = ReuseKind::Dynamic;
-      return C;
-    default:
-      assert(false && "optimization level must be 'a'..'f'");
-      return C;
-    }
+    C.Rung = Level;
+    return C;
+  }
+
+  /// Whether Rung is one of 'a'..'f'.
+  bool validRung() const { return Rung >= 'a' && Rung <= 'f'; }
+  /// Stage tile inputs in shared memory: rungs (b)-(f).
+  bool useSharedMemory() const { return Rung >= 'b'; }
+  /// Issue copy-out stores interleaved with compute (Sec. 4.2.1): (c)-(f).
+  bool interleaveCopyOut() const { return Rung >= 'c'; }
+  /// Translate tiles so row loads hit 128B boundaries (Sec. 4.2.3): (d)-(f).
+  bool alignLoads() const { return Rung >= 'd'; }
+  /// Inter-tile value-reuse strategy (Sec. 4.2.2): static at (e), dynamic
+  /// at (f), none below.
+  ReuseKind reuse() const {
+    return Rung == 'e'   ? ReuseKind::Static
+           : Rung == 'f' ? ReuseKind::Dynamic
+                         : ReuseKind::None;
   }
 
   /// Human-readable strategy summary ("shared memory + aligned loads

@@ -137,10 +137,7 @@ CompileKey service::makeCompileKey(const CompileRequest &R) {
 
   // ShimThreads included: serial (0) and parallel (N > 0) shim renderings
   // are different source texts, so they must never share an artifact.
-  const codegen::OptimizationConfig &O = R.Config;
-  K.words(O.UseSharedMemory, O.InterleaveCopyOut, O.AlignLoads, O.Reuse,
-          O.UnrollCore, O.RegisterTile, O.EmitStaticReuse, O.ShimThreads,
-          R.Flavor, R.Target);
+  K.words(R.Config.Rung, R.Config.ShimThreads, R.Flavor, R.Target);
   // Host units only: a change of the host text moves no CUDA key.
   if (R.Target == TargetKind::Host)
     K.words(codegen::HostUnitFormat);

@@ -9,14 +9,18 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "codegen/CudaEmitter.h"
 #include "codegen/HostEmitter.h"
 #include "codegen/HybridCompiler.h"
 #include "ir/StencilGallery.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
+#include <set>
+#include <sstream>
 
 using namespace hextile;
 using namespace hextile::codegen;
@@ -467,18 +471,28 @@ TEST(HostEmitterTest, AlignedLoadsTranslateTheWindowBase) {
   EXPECT_EQ(Natural.find(", 32) * 32;"), std::string::npos);
 }
 
-TEST(HostEmitterTest, StaticReusePlacementIsGated) {
+TEST(HostEmitterTest, RungEPlacesStaticallyRungDByWindow) {
   ir::StencilProgram P = ir::makeJacobi1D(40, 8);
-  OptimizationConfig Static = OptimizationConfig::level('e');
-  std::string Windowed = emitHost(compile(P, 2, 3, {}, Static));
-  Static.EmitStaticReuse = true;
-  std::string Placed = emitHost(compile(P, 2, 3, {}, Static));
-  // Without the gate, Reuse=Static only affects the cost model: staged
-  // addressing stays window-relative. With the gate, the fixed
-  // s mod extent placement appears in the staged indices.
+  std::string Windowed =
+      emitHost(compile(P, 2, 3, {}, OptimizationConfig::level('d')));
+  std::string Placed =
+      emitHost(compile(P, 2, 3, {}, OptimizationConfig::level('e')));
+  // Rung (d) addresses staged cells relative to the tile's window base;
+  // rung (e) through the fixed Sec. 4.2.2 s mod extent placement.
   EXPECT_NE(Windowed.find(" - ht_wb0)"), std::string::npos);
   EXPECT_EQ(Windowed.find(" + ht_emod(s0 + ht_i, "), std::string::npos);
   EXPECT_NE(Placed.find(" + ht_emod(s0 + ht_i, "), std::string::npos);
+
+  // A staged window row is checked once per row, whichever accesses share
+  // it: jacobi2d's s0 row holds three of its five reads, so each phase's
+  // row checks three staged rows, the staged write and the global write.
+  ir::StencilProgram J = ir::makeJacobi2D(48, 6);
+  for (auto [Rung, Checks] : {std::pair{'d', 6}, std::pair{'e', 10}})
+    EXPECT_EQ(countOf(emitHost(compile(J, 2, 3, {6},
+                                       OptimizationConfig::level(Rung))),
+                      "ht_check_run("),
+              static_cast<size_t>(Checks))
+        << "rung " << Rung;
 }
 
 namespace {
@@ -563,25 +577,30 @@ constexpr EmitSchedule AllFlavors[] = {EmitSchedule::Hex, EmitSchedule::Hybrid,
                                        EmitSchedule::Classical,
                                        EmitSchedule::Overlapped};
 
-/// The row-form sweep's subjects: jacobi1d, jacobi2d, fdtd2d (three
-/// statements) and heat3d at ladder rungs a-d plus static placement.
+/// One program of the row-form sweep and its inner tile widths.
+struct SweepProgram {
+  ir::StencilProgram P;
+  std::vector<int64_t> Inner;
+};
+
+/// The row-form sweep's programs: jacobi1d, jacobi2d, fdtd2d (three
+/// statements) and heat3d.
+std::vector<SweepProgram> rowSweepPrograms() {
+  return {{ir::makeJacobi1D(40, 8), {}},
+          {ir::makeJacobi2D(48, 6), {6}},
+          {ir::makeFdtd2D(32, 5), {5}},
+          {ir::makeHeat3D(16, 4), {4, 6}}};
+}
+
+/// The row-form sweep's subjects: its programs at ladder rungs a-e (rung
+/// f renders as d).
 std::vector<std::pair<std::string, CompiledHybrid>> rowSweepSubjects() {
-  struct Subject {
-    ir::StencilProgram P;
-    std::vector<int64_t> Inner;
-  };
   std::vector<std::pair<std::string, CompiledHybrid>> Out;
-  for (const Subject &S : {Subject{ir::makeJacobi1D(40, 8), {}},
-                           Subject{ir::makeJacobi2D(48, 6), {6}},
-                           Subject{ir::makeFdtd2D(32, 5), {5}},
-                           Subject{ir::makeHeat3D(16, 4), {4, 6}}})
-    for (char Rung : {'a', 'b', 'c', 'd', 's'}) {
-      OptimizationConfig Config =
-          OptimizationConfig::level(Rung == 's' ? 'e' : Rung);
-      Config.EmitStaticReuse = Rung == 's';
+  for (const SweepProgram &S : rowSweepPrograms())
+    for (char Rung : {'a', 'b', 'c', 'd', 'e'})
       Out.emplace_back(S.P.name() + " rung " + Rung,
-                       compile(S.P, 2, 3, S.Inner, Config));
-    }
+                       compile(S.P, 2, 3, S.Inner,
+                               OptimizationConfig::level(Rung)));
   return Out;
 }
 
@@ -731,9 +750,9 @@ TEST(HostEmitterTest, EveryAccessIsBoundsChecked) {
 /// The plan behind the checks: a statement's accesses share a group
 /// exactly when they share a buffer and a rotating slot, each one's
 /// displacement is its row-major offset from the group's first access, and
-/// each group's span is [lowest, highest displacement + n). Static
-/// placement gives every staged access a group of its own over its window
-/// row.
+/// each group's span is [lowest, highest displacement + n). Under static
+/// placement, staged accesses also share their window row (equal outer
+/// offsets), and the group spans that whole row.
 TEST(HostEmitterTest, AccessGroupSpansAreExactOverTheirDisplacements) {
   for (const auto &[Label, C] : rowSweepSubjects())
     for (EmitSchedule F : AllFlavors)
@@ -787,22 +806,24 @@ TEST(HostEmitterTest, AccessGroupSpansAreExactOverTheirDisplacements) {
             const AccessGroup &G = S.Groups.at(X.A->Group);
             EXPECT_EQ(G.Buffer, X.Staged ? Plan.stageArg(X.Field)
                                          : Plan.fieldArg(X.Field));
-            if (X.Staged && St.StaticPlacement) {
-              ++Keys;
-              EXPECT_EQ(G.Wrap, St.Ext.back());
-              EXPECT_EQ(X.A->Disp, 0);
-              continue;
-            }
-            EXPECT_EQ(G.Wrap, 0);
+            bool Wraps = X.Staged && St.StaticPlacement;
             const Cell *First = &X;
             for (const Cell &Y : Cells)
               if (Y.Staged == X.Staged && Y.Field == X.Field &&
-                  Y.Slot == X.Slot) {
+                  Y.Slot == X.Slot &&
+                  (!Wraps ||
+                   std::equal(X.Off.begin(), X.Off.end() - 1, Y.Off.begin()))) {
                 First = &Y;
                 break;
               }
             Keys += First == &X;
             EXPECT_EQ(X.A->Group, First->A->Group);
+            if (Wraps) {
+              EXPECT_EQ(G.Wrap, St.Ext.back());
+              EXPECT_EQ(X.A->Disp, 0);
+              continue;
+            }
+            EXPECT_EQ(G.Wrap, 0);
             const std::vector<int64_t> &Ext = X.Staged ? St.Ext : Plan.Sizes;
             int64_t Disp = 0;
             for (unsigned Dim = 0; Dim < Plan.Rank; ++Dim)
@@ -822,6 +843,69 @@ TEST(HostEmitterTest, AccessGroupSpansAreExactOverTheirDisplacements) {
           }
         }
       }
+}
+
+/// A row binds one base per access group, so no two bases of one
+/// statement's row name the same cell of the same buffer: under static
+/// placement, accesses sharing a window row share its base and its check.
+TEST(HostEmitterTest, NoRowBindsTwoBasesToOneCell) {
+  for (const auto &[Label, C] : rowSweepSubjects())
+    for (EmitSchedule F : AllFlavors) {
+      SCOPED_TRACE(Label + " " + emitScheduleName(F));
+      std::string Src = emitHost(C, F);
+      for (const auto &Loop : threadLoops(Src, "ht_row")) {
+        // (buffer, base) pairs of the statement row being read; its cell
+        // loop ends it.
+        std::set<std::pair<std::string, std::string>> Bases;
+        std::string Base;
+        std::istringstream Lines(Loop.second);
+        for (std::string Line; std::getline(Lines, Line);) {
+          Line.erase(0, Line.find_first_not_of(' '));
+          if (Line.rfind("const ht_int ht_b", 0) == 0) {
+            Base = Line.substr(Line.find(" = ") + 3);
+          } else if (Line.rfind("ht_check_run(", 0) == 0) {
+            std::string Buffer = Line.substr(13, Line.find(',') - 13);
+            EXPECT_TRUE(Bases.emplace(Buffer, Base).second)
+                << Buffer << " bound twice to " << Base;
+          } else if (Line.rfind("for (ht_int ht_i ", 0) == 0) {
+            Bases.clear();
+          }
+        }
+      }
+    }
+}
+
+/// Each rung renders its own kernels: in the hex, hybrid and classical
+/// flavors rungs a-e emit pairwise different bodies on both targets, and
+/// rung f emits rung d's (only the model prices its shared->shared move).
+/// The overlapped flavor stages by construction, so every rung emits one
+/// body. A body is the unit without the `// memory strategy` line, which
+/// names the rung.
+TEST(HostEmitterTest, EachRungRendersItsOwnKernels) {
+  auto Body = [](std::string Src) {
+    size_t At = Src.find("// memory strategy");
+    Src.erase(At, Src.find('\n', At) + 1 - At);
+    return Src;
+  };
+  for (const SweepProgram &S : rowSweepPrograms()) {
+    std::vector<CompiledHybrid> Rungs;
+    for (char Rung = 'a'; Rung <= 'f'; ++Rung)
+      Rungs.push_back(
+          compile(S.P, 2, 3, S.Inner, OptimizationConfig::level(Rung)));
+    for (EmitSchedule F : AllFlavors)
+      for (bool Cuda : {false, true}) {
+        SCOPED_TRACE(S.P.name() + " " + emitScheduleName(F) +
+                     (Cuda ? " cuda" : " host"));
+        std::vector<std::string> Bodies;
+        for (const CompiledHybrid &C : Rungs)
+          Bodies.push_back(Body(Cuda ? emitCuda(C, F) : emitHost(C, F)));
+        EXPECT_EQ(Bodies[5], Bodies[3]) << "rung f differs from rung d";
+        for (size_t X = 0; X < 5; ++X)
+          for (size_t Y = X + 1; Y < 5; ++Y)
+            EXPECT_EQ(Bodies[X] == Bodies[Y], F == EmitSchedule::Overlapped)
+                << "rungs " << char('a' + X) << " and " << char('a' + Y);
+      }
+  }
 }
 
 TEST(HostEmitterTest, GlobalDirectConfigStillAddressesGlobalBuffers) {

@@ -93,6 +93,72 @@ TEST(HybridCompilerTest, CounterShapesMatchTable5) {
   EXPECT_DOUBLE_EQ(F.SharedLoadsPerRequest, 1.0);
 }
 
+TEST(HybridCompilerTest, Table4And5ModelPinned) {
+  // The model behind Tables 4 and 5 on their heat3d configuration, per
+  // rung: the kernel model's global request/distinct/store elements and
+  // shared loads/stores exactly, the simulated GFLOPS on both device
+  // models and the Table 5 counters (GTX 470) to a relative 1e-12. The
+  // values are the model's before the ladder became one rung letter, so
+  // no refactor can move the paper's tables silently.
+  struct Pin {
+    char Rung;
+    int64_t LoadRequest, LoadDistinct, Store, SharedLoads, SharedStores;
+    double Transactions, GFlopsGtx470, GFlopsNvs5200;
+    gpu::PerfCounters Counters;
+  };
+  const Pin Pins[] = {
+      {'a', 518400, 12736, 19200, 0, 0, 1, 37.362146940531517,
+       6.9905020769803343,
+       {224172748800, 2297078784, 16345929600, 1, 0.59999999999999998}},
+      {'b', 29376, 0, 19200, 172800, 19200, 1, 40.310075251424152,
+       7.2429104078444899,
+       {12703122432, 4483454976, 2615348736, 1, 0.35416666666666669}},
+      {'c', 29376, 0, 19200, 172800, 19200, 1, 48.250606953447274,
+       8.9101894678853384,
+       {12703122432, 4483454976, 2615348736, 1, 0.35416666666666669}},
+      {'d', 29376, 0, 19200, 172800, 19200, 1, 48.250606953447274,
+       8.9101894678853384,
+       {12703122432, 2988969984, 1868106240, 1, 0.53125}},
+      {'e', 11008, 0, 19200, 172800, 19200, 2, 76.148056560575,
+       14.418664779963208, {4760211456, 595026432, 595026432, 2, 1}},
+      {'f', 11008, 0, 19200, 174528, 20928, 1, 89.832293522383551,
+       19.269604288996682, {4760211456, 595026432, 595026432, 1, 1}},
+  };
+  ir::StencilProgram P = ir::makeHeat3D(384, 128);
+  gpu::DeviceConfig Gtx = gpu::DeviceConfig::gtx470(),
+                    Nvs = gpu::DeviceConfig::nvs5200();
+  auto Elems = [](const std::vector<gpu::RowBatch> &Rows) {
+    int64_t N = 0;
+    for (const gpu::RowBatch &B : Rows)
+      N += B.Count * B.Len;
+    return N;
+  };
+  auto Near = [](double Got, double Want) {
+    EXPECT_NEAR(Got, Want, 1e-12 * Want);
+  };
+  for (const Pin &W : Pins) {
+    SCOPED_TRACE(std::string("rung ") + W.Rung);
+    CompiledHybrid C = compileHybrid(P, sizes(2, 7, {10, 32}),
+                                     OptimizationConfig::level(W.Rung));
+    std::vector<gpu::KernelModel> Ks = C.kernelModels(Gtx);
+    ASSERT_EQ(Ks.size(), 1u);
+    EXPECT_EQ(Elems(Ks[0].LoadRequestRows), W.LoadRequest);
+    EXPECT_EQ(Elems(Ks[0].LoadDistinctRows), W.LoadDistinct);
+    EXPECT_EQ(Elems(Ks[0].StoreRows), W.Store);
+    EXPECT_EQ(Ks[0].SharedLoadsPerSlab, W.SharedLoads);
+    EXPECT_EQ(Ks[0].SharedStoresPerSlab, W.SharedStores);
+    EXPECT_EQ(Ks[0].SharedTransactionsPerRequest, W.Transactions);
+    gpu::PerfResult R = gpu::simulate(Gtx, Ks);
+    Near(R.GFlops, W.GFlopsGtx470);
+    Near(gpu::simulate(Nvs, C.kernelModels(Nvs)).GFlops, W.GFlopsNvs5200);
+    Near(R.Counters.GldInst32bit, W.Counters.GldInst32bit);
+    Near(R.Counters.DramReadTransactions, W.Counters.DramReadTransactions);
+    Near(R.Counters.L2ReadTransactions, W.Counters.L2ReadTransactions);
+    Near(R.Counters.SharedLoadsPerRequest, W.Counters.SharedLoadsPerRequest);
+    Near(R.Counters.GldEfficiency, W.Counters.GldEfficiency);
+  }
+}
+
 TEST(HybridCompilerTest, AutomaticTileSelection) {
   TileSizeRequest R;
   R.Constraints.MaxH = 3;

@@ -9,7 +9,7 @@ using namespace hextile;
 using namespace hextile::codegen;
 
 TEST(RegisterTileTest, UnitTileMatchesSlidingWindowCounts) {
-  // RegisterTile = 1 must reproduce the Sec. 4.3.2 group counts.
+  // A register tile of width 1 must reproduce the Sec. 4.3.2 group counts.
   ir::StencilProgram J = ir::makeJacobi2D();
   EXPECT_DOUBLE_EQ(sharedLoadsPerPointRegisterTiled(J, 0, 1), 3.0);
   ir::StencilProgram H = ir::makeHeat3D();
@@ -31,38 +31,4 @@ TEST(RegisterTileTest, LoadsDecreaseMonotonically) {
   EXPECT_DOUBLE_EQ(sharedLoadsPerPointRegisterTiled(P, 0, 2), 6.0);
   // Asymptotically one value per group per point: -> 3.
   EXPECT_NEAR(sharedLoadsPerPointRegisterTiled(P, 0, 64), 3.0, 0.2);
-}
-
-TEST(RegisterTileTest, ImprovesSharedBoundKernels) {
-  ir::StencilProgram P = ir::makeHeat3D(384, 128);
-  TileSizeRequest Sizes;
-  Sizes.H = 2;
-  Sizes.W0 = 7;
-  Sizes.InnerWidths = {10, 32};
-  gpu::DeviceConfig Dev = gpu::DeviceConfig::gtx470();
-
-  OptimizationConfig Base = OptimizationConfig::level('f');
-  OptimizationConfig Tiled = Base;
-  Tiled.RegisterTile = 2;
-  double GF0 = gpu::simulate(Dev, compileHybrid(P, Sizes, Base)
-                                      .kernelModels(Dev))
-                   .GFlops;
-  double GF2 = gpu::simulate(Dev, compileHybrid(P, Sizes, Tiled)
-                                      .kernelModels(Dev))
-                   .GFlops;
-  EXPECT_GT(GF2, GF0);
-}
-
-TEST(RegisterTileTest, SemanticsUnchanged) {
-  // Register tiling is a pure code-generation change: the schedule and
-  // results are identical.
-  ir::StencilProgram P = ir::makeHeat2D(16, 5);
-  TileSizeRequest Sizes;
-  Sizes.H = 1;
-  Sizes.W0 = 3;
-  Sizes.InnerWidths = {5};
-  OptimizationConfig C = OptimizationConfig::level('f');
-  C.RegisterTile = 4;
-  CompiledHybrid Compiled = compileHybrid(P, Sizes, C);
-  EXPECT_EQ(exec::checkScheduleEquivalence(P, Compiled.scheduleKey(3)), "");
 }

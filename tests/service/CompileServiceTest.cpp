@@ -726,6 +726,23 @@ TEST(CompileServiceTest, UnbuildableRequestsFailWithoutKillingTheService) {
   EXPECT_EQ(Good.Stats.How, RequestOutcome::Compiled);
 }
 
+TEST(CompileServiceTest, InvalidRungFailsAloneAndTheServiceKeepsServing) {
+  // The ladder rung is a plain request field: a letter outside 'a'..'f'
+  // fails that request, naming the rung, and the next one is served.
+  CompileService Svc;
+  CompileResult Bad =
+      Svc.compile(makeRequest(gallery()[2], 'g', TargetKind::Cuda));
+  EXPECT_FALSE(Bad.ok());
+  EXPECT_EQ(Bad.Stats.How, RequestOutcome::Failed);
+  EXPECT_NE(Bad.Error.find("rung 'g'"), std::string::npos) << Bad.Error;
+  EXPECT_EQ(Svc.counters().CompileFailures, 1u);
+
+  CompileResult Good =
+      Svc.compile(makeRequest(gallery()[2], 'd', TargetKind::Cuda));
+  ASSERT_TRUE(Good.ok()) << Good.Error;
+  EXPECT_EQ(Good.Stats.How, RequestOutcome::Compiled);
+}
+
 //===----------------------------------------------------------------------===//
 // Satellite 4 (service level): two processes sharing one store directory.
 //===----------------------------------------------------------------------===//

@@ -272,7 +272,7 @@ TEST(AutoTunerTest, TunedSizesRealizeRungAndShim) {
   EXPECT_EQ(T.H, E.H);
   EXPECT_EQ(T.W0, E.W0);
   EXPECT_EQ(T.InnerWidths, E.InnerWidths);
-  EXPECT_FALSE(T.Config.UseSharedMemory); // rung (a)
+  EXPECT_EQ(T.Config.Rung, 'a');
   EXPECT_EQ(T.Config.ShimThreads, 4);
 
   for (codegen::EmitSchedule S :
